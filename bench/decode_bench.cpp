@@ -6,15 +6,18 @@
 //   decode_bench [--json FILE] [--reps N] [--samples N] [--threads N]
 //   decode_bench --check bench/baselines/decode.json [--min-speedup S]
 //
-// --json writes the machine-readable report (BENCH_decode.json in CI,
-// uploaded as an artifact). --check measures both paths IN THE SAME
-// RUN and gates on the fused/unfused ratio at the baseline's named
-// target, so the gate is immune to absolute host-speed drift: it
-// fails only when the fused route loses its architectural advantage,
-// not when the whole machine is slow. The baseline's recorded
-// microsecond figures are reference context, not the gate.
-// Measurements default to a single thread so ratios reflect the
-// kernels, not the host's core count.
+// Every route is timed --reps times (default 9), interleaved with the
+// other routes, and reported as its median with p10/p90: the median
+// under the route's key (e.g. "fused_total_us"), the spread under
+// "<key>_p10" / "<key>_p90". --json writes the machine-readable report
+// (BENCH_decode.json in CI, uploaded as an artifact). --check measures
+// both paths IN THE SAME RUN and gates on the ratio of the fused and
+// unfused medians at the baseline's named target, so the gate is
+// immune to absolute host-speed drift: it fails only when the fused
+// route loses its architectural advantage, not when the whole machine
+// is slow. The baseline's recorded microsecond figures are reference
+// context, not the gate. Measurements default to a single thread so
+// ratios reflect the kernels, not the host's core count.
 
 #include <algorithm>
 #include <chrono>
@@ -22,6 +25,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -40,33 +44,43 @@ namespace {
 
 volatile std::uint32_t gSink;  // defeats dead-code elimination
 
-/// Best-of-`reps` per-sample latency (µs) of `fn` (one invocation =
-/// `samples` patterns), auto-scaling the inner iteration count so each
-/// timed block runs >= ~60ms.
-template <typename Fn>
-double bestMicros(int samples, int reps, Fn&& fn) {
+/// Wall time (µs) of `iters` back-to-back invocations of `fn`.
+double blockMicros(const std::function<void()>& fn, long iters) {
+  const auto t0 = std::chrono::steady_clock::now();
+  for (long i = 0; i < iters; ++i) fn();
+  return std::chrono::duration<double, std::micro>(
+             std::chrono::steady_clock::now() - t0)
+      .count();
+}
+
+/// Inner iteration count that makes one timed block of `fn` run
+/// >= ~60ms.
+long calibrateIters(const std::function<void()>& fn) {
   long iters = 1;
   for (;;) {
-    const auto t0 = std::chrono::steady_clock::now();
-    for (long i = 0; i < iters; ++i) fn();
-    const double ms = std::chrono::duration<double, std::milli>(
-                          std::chrono::steady_clock::now() - t0)
-                          .count();
-    if (ms >= 60.0 || iters >= (1L << 20)) break;
+    const double ms = blockMicros(fn, iters) / 1000.0;
+    if (ms >= 60.0 || iters >= (1L << 20)) return iters;
     iters = ms <= 1.0 ? iters * 16
                       : static_cast<long>(iters * (80.0 / ms)) + 1;
   }
-  double best = 1e30;
-  for (int r = 0; r < reps; ++r) {
-    const auto t0 = std::chrono::steady_clock::now();
-    for (long i = 0; i < iters; ++i) fn();
-    const double us = std::chrono::duration<double, std::micro>(
-                          std::chrono::steady_clock::now() - t0)
-                          .count();
-    best = std::min(best, us / static_cast<double>(iters) / samples);
-  }
-  return best;
 }
+
+/// Linear-interpolated quantile `q` in [0, 1] of ascending `sorted`.
+double quantile(const std::vector<double>& sorted, double q) {
+  const double pos = q * static_cast<double>(sorted.size() - 1);
+  const auto lo = static_cast<std::size_t>(pos);
+  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
+  return sorted[lo] + (pos - static_cast<double>(lo)) *
+                          (sorted[hi] - sorted[lo]);
+}
+
+/// One measured route: its report key and per-sample µs of each rep.
+struct Route {
+  const char* key;
+  std::function<void()> fn;
+  long iters = 1;
+  std::vector<double> us{};
+};
 
 struct Fixture {
   dp::models::Tcae tcae;
@@ -88,42 +102,62 @@ Fixture makeFixture(int samples) {
                  dp::drc::TopologyChecker(), std::move(latents), samples};
 }
 
-/// One dispatch target: unfused decode-only, unfused decode+assess and
-/// fused decode+assess per-sample µs, plus the same-run speedups.
+/// One dispatch target: per-sample µs of unfused decode-only, unfused
+/// decode+assess, fused decode-only and fused decode+assess, each as
+/// the median (under the route's key) with `_p10` / `_p90` siblings
+/// over `reps` timed blocks, plus the same-run speedups of the medians.
+/// Reps interleave the four routes, so host drift during the run
+/// widens every route's spread alike instead of biasing one route.
 dp::io::Json measureTarget(Fixture& fx, int reps) {
-  auto entry = dp::io::Json::object();
-
-  const double unfusedDecode = bestMicros(fx.samples, reps, [&] {
-    const dp::nn::Tensor activations = fx.tcae.decode(fx.latents);
-    gSink = static_cast<std::uint32_t>(activations[0] > 0.5f);
-  });
-  const double unfusedTotal = bestMicros(fx.samples, reps, [&] {
-    dp::core::GenerationResult result;
-    dp::core::accountActivationBatch(fx.tcae.decode(fx.latents), fx.checker,
-                                     result);
-    gSink = static_cast<std::uint32_t>(result.legal);
-  });
   std::vector<std::uint32_t> masks;
-  const double fusedDecode = bestMicros(fx.samples, reps, [&] {
-    fx.route.decodeMasks(fx.latents, masks);
-    gSink = masks[0];
-  });
-  const double fusedTotal = bestMicros(fx.samples, reps, [&] {
-    fx.route.decodeMasks(fx.latents, masks);
-    dp::core::GenerationResult result;
-    dp::core::accountMaskBatch(masks.data(), fx.samples,
-                               fx.route.topologySize(), fx.checker, result);
-    gSink = static_cast<std::uint32_t>(result.legal);
-  });
+  std::vector<Route> routes = {
+      {"unfused_decode_us",
+       [&] {
+         const dp::nn::Tensor activations = fx.tcae.decode(fx.latents);
+         gSink = static_cast<std::uint32_t>(activations[0] > 0.5f);
+       }},
+      {"unfused_total_us",
+       [&] {
+         dp::core::GenerationResult result;
+         dp::core::accountActivationBatch(fx.tcae.decode(fx.latents),
+                                          fx.checker, result);
+         gSink = static_cast<std::uint32_t>(result.legal);
+       }},
+      {"fused_decode_us",
+       [&] {
+         fx.route.decodeMasks(fx.latents, masks);
+         gSink = masks[0];
+       }},
+      {"fused_total_us",
+       [&] {
+         fx.route.decodeMasks(fx.latents, masks);
+         dp::core::GenerationResult result;
+         dp::core::accountMaskBatch(masks.data(), fx.samples,
+                                    fx.route.topologySize(), fx.checker,
+                                    result);
+         gSink = static_cast<std::uint32_t>(result.legal);
+       }},
+  };
+  for (Route& r : routes) r.iters = calibrateIters(r.fn);
+  for (int rep = 0; rep < reps; ++rep)
+    for (Route& r : routes)
+      r.us.push_back(blockMicros(r.fn, r.iters) /
+                     static_cast<double>(r.iters) / fx.samples);
 
-  entry.set("unfused_decode_us", unfusedDecode);
-  entry.set("unfused_total_us", unfusedTotal);
-  entry.set("fused_decode_us", fusedDecode);
-  entry.set("fused_total_us", fusedTotal);
-  entry.set("decode_speedup",
-            fusedDecode > 0 ? unfusedDecode / fusedDecode : 0.0);
-  entry.set("total_speedup",
-            fusedTotal > 0 ? unfusedTotal / fusedTotal : 0.0);
+  auto entry = dp::io::Json::object();
+  for (Route& r : routes) {
+    std::sort(r.us.begin(), r.us.end());
+    const std::string key = r.key;
+    entry.set(key, quantile(r.us, 0.5));
+    entry.set(key + "_p10", quantile(r.us, 0.1));
+    entry.set(key + "_p90", quantile(r.us, 0.9));
+  }
+  const auto ratio = [&](const char* num, const char* den) {
+    const double d = entry.at(den).asDouble();
+    return d > 0 ? entry.at(num).asDouble() / d : 0.0;
+  };
+  entry.set("decode_speedup", ratio("unfused_decode_us", "fused_decode_us"));
+  entry.set("total_speedup", ratio("unfused_total_us", "fused_total_us"));
   return entry;
 }
 
@@ -179,7 +213,7 @@ int runCheck(const dp::io::Json& report, const std::string& baselinePath,
     const double speedup = got.at("total_speedup").asDouble();
     const bool ok = speedup >= minSpeedup;
     std::printf(
-        "%s  %s: fused %.2f µs vs unfused %.2f µs per pattern — "
+        "%s  %s: median fused %.2f µs vs unfused %.2f µs per pattern — "
         "%.2fx (gate %.2fx)\n",
         ok ? "OK  " : "FAIL", target.c_str(),
         got.at("fused_total_us").asDouble(),
@@ -206,7 +240,7 @@ int main(int argc, char** argv) {
   std::string jsonPath;
   std::string checkPath;
   double minSpeedup = 0.0;  // 0 = use the baseline's recorded gate
-  int reps = 3;
+  int reps = 9;
   int samples = 256;
   int threads = 1;
   for (int i = 1; i < argc; ++i) {
@@ -236,6 +270,11 @@ int main(int argc, char** argv) {
     }
   }
 
+  if (reps < 1) {
+    std::fprintf(stderr, "decode_bench: --reps must be >= 1\n");
+    return 2;
+  }
+
   dp::ThreadPool::setGlobalThreads(threads);
   Fixture fx = makeFixture(samples);
 
@@ -246,14 +285,17 @@ int main(int argc, char** argv) {
   for (const dp::KernelTarget t : dp::nn::supportedKernelTargets()) {
     dp::nn::setGemmKernelTarget(t);
     auto entry = measureTarget(fx, reps);
+    const auto us = [&](const char* key) {
+      return entry.at(key).asDouble();
+    };
     std::printf(
-        "%-7s unfused %7.2f µs (decode %7.2f)  fused %6.2f µs "
-        "(decode %6.2f)  %5.2fx decode+assess\n",
-        dp::kernelTargetName(t), entry.at("unfused_total_us").asDouble(),
-        entry.at("unfused_decode_us").asDouble(),
-        entry.at("fused_total_us").asDouble(),
-        entry.at("fused_decode_us").asDouble(),
-        entry.at("total_speedup").asDouble());
+        "%-7s unfused %7.2f µs [%.2f-%.2f] (decode %7.2f)  fused %6.2f µs "
+        "[%.2f-%.2f] (decode %6.2f)  %5.2fx decode+assess\n",
+        dp::kernelTargetName(t), us("unfused_total_us"),
+        us("unfused_total_us_p10"), us("unfused_total_us_p90"),
+        us("unfused_decode_us"), us("fused_total_us"),
+        us("fused_total_us_p10"), us("fused_total_us_p90"),
+        us("fused_decode_us"), us("total_speedup"));
     targets.set(dp::kernelTargetName(t), std::move(entry));
   }
   report.set("targets", std::move(targets));

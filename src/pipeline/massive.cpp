@@ -28,6 +28,12 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// Samples per wave: a wave is the next run of whole batches, at most
+/// this many samples (but never less than one batch), cut short at the
+/// checkpoint boundary. A constant, so the wave cut is a function of
+/// the generation parameters alone — never of DP_THREADS.
+constexpr long kWaveSamples = 2048;
+
 /// Accumulates per-stage items/seconds for the result and mirrors the
 /// deltas onto the serving metrics surface at every checkpoint flush.
 struct StageTally {
@@ -176,6 +182,11 @@ MassiveResult runMassive(const models::Tcae& tcae,
     tally.add("seal", sealed, t0);
   };
 
+  const long batchSize = config.batchSize;
+  const long waveSpan = std::max<long>(1, kWaveSamples / batchSize) *
+                        batchSize;
+  const int latentDim = sourceLatents.size(1);
+
   while (cursor < config.count) {
     // Checkpoint boundaries sit on a fixed grid (multiples of
     // checkpointEvery), and batches never straddle a boundary — so a
@@ -185,36 +196,56 @@ MassiveResult runMassive(const models::Tcae& tcae,
         config.count,
         (cursor / config.checkpointEvery + 1) * config.checkpointEvery);
     while (cursor < boundary) {
-      const int b = static_cast<int>(
-          std::min<long>(config.batchSize, boundary - cursor));
+      // Cut the wave: whole batches from the cursor, stopping at the
+      // boundary, so batch j covers rows [j*batchSize, ...) and only
+      // the last batch can be short — the same cut a batch-at-a-time
+      // loop makes.
+      const long waveStart = cursor;
+      const long n = std::min(waveSpan, boundary - waveStart);
+      const long nb = (n + batchSize - 1) / batchSize;
+      const auto rowsOf = [&](long j) {
+        return static_cast<int>(std::min(batchSize, n - j * batchSize));
+      };
 
-      // Plan: the batch draws from its own Rng stream keyed by the
-      // cursor, so any batch regenerates without replaying history.
-      planFault.orThrow();
+      // Plan: each batch draws from its own Rng stream keyed by its
+      // cursor, so any batch regenerates without replaying history and
+      // the batches of a wave plan concurrently.
       auto t0 = Clock::now();
-      Rng rng(taskSeed(streamBase, static_cast<std::uint64_t>(cursor)));
-      const auto idx = models::sampleIndices(pool, b, rng);
-      nn::Tensor latents = models::gatherRows(sourceLatents, idx);
-      latents += perturber.sampleBatch(b, rng);
-      tally.add("plan", static_cast<std::uint64_t>(b), t0);
+      for (long j = 0; j < nb; ++j) planFault.orThrow();
+      nn::Tensor latents({static_cast<int>(n), latentDim});
+      dp::parallelFor(nb, 1, [&](long j0, long j1) {
+        for (long j = j0; j < j1; ++j) {
+          const long row0 = j * batchSize;
+          const int b = rowsOf(j);
+          Rng rng(taskSeed(streamBase,
+                           static_cast<std::uint64_t>(waveStart + row0)));
+          const auto idx = models::sampleIndices(pool, b, rng);
+          nn::Tensor batch = models::gatherRows(sourceLatents, idx);
+          batch += perturber.sampleBatch(b, rng);
+          std::copy_n(batch.data(), batch.numel(),
+                      latents.data() + row0 * latentDim);
+        }
+      });
+      tally.add("plan", static_cast<std::uint64_t>(n), t0);
 
-      std::vector<char> ok(static_cast<std::size_t>(b), 0);
-      std::vector<std::uint64_t> hashes(static_cast<std::size_t>(b), 0);
-      std::vector<PackedPattern> packs(static_cast<std::size_t>(b));
+      std::vector<char> ok(static_cast<std::size_t>(n), 0);
+      std::vector<std::uint64_t> hashes(static_cast<std::size_t>(n), 0);
+      std::vector<PackedPattern> packs(static_cast<std::size_t>(n));
       if (fused) {
         // Fused route: latents go straight to bit-packed binarized
         // topologies, and the whole assessment runs on the packed
-        // words — no float tensor or Topology round-trip.
-        decodeFault.orThrow();
+        // words — no float tensor or Topology round-trip. Fused decode
+        // is per-sample, so one call covers every batch of the wave.
         t0 = Clock::now();
+        for (long j = 0; j < nb; ++j) decodeFault.orThrow();
         std::vector<std::uint32_t> masks;
         fused->decodeMasks(latents, masks);
-        tally.add("decode", static_cast<std::uint64_t>(b), t0);
+        tally.add("decode", static_cast<std::uint64_t>(n), t0);
 
-        assessFault.orThrow();
         t0 = Clock::now();
+        for (long j = 0; j < nb; ++j) assessFault.orThrow();
         const int edge = fused->topologySize();
-        dp::parallelFor(b, 8, [&](long i0, long i1) {
+        dp::parallelFor(n, 8, [&](long i0, long i1) {
           std::uint32_t rows[squish::kMaxMaskCols];
           for (long i = i0; i < i1; ++i) {
             const auto k = static_cast<std::size_t>(i);
@@ -232,38 +263,50 @@ MassiveResult runMassive(const models::Tcae& tcae,
             packs[k] = packMasks(rows, nRows, nCols);
           }
         });
-        tally.add("assess", static_cast<std::uint64_t>(b), t0);
+        tally.add("assess", static_cast<std::uint64_t>(n), t0);
       } else {
-        decodeFault.orThrow();
-        t0 = Clock::now();
-        const nn::Tensor activations = tcae.decode(latents);
-        tally.add("decode", static_cast<std::uint64_t>(b), t0);
+        // Float route: decode and assess batch by batch. One decode per
+        // batch keeps its GEMM shapes (and with them its bits) exactly
+        // those of a batch-at-a-time loop, and only one batch of float
+        // activations is alive at a time.
+        for (long j = 0; j < nb; ++j) {
+          const long row0 = j * batchSize;
+          const int b = rowsOf(j);
+          decodeFault.orThrow();
+          t0 = Clock::now();
+          nn::Tensor batch({b, latentDim});
+          std::copy_n(latents.data() + row0 * latentDim, batch.numel(),
+                      batch.data());
+          const nn::Tensor activations = tcae.decode(batch);
+          tally.add("decode", static_cast<std::uint64_t>(b), t0);
 
-        // Assess: threshold/unpad, legality, canonicalize, hash and
-        // pack sample-parallel into index-ordered slots (§6 contract).
-        assessFault.orThrow();
-        t0 = Clock::now();
-        dp::parallelFor(b, 8, [&](long i0, long i1) {
-          for (long i = i0; i < i1; ++i) {
-            const auto k = static_cast<std::size_t>(i);
-            const squish::Topology t = models::decodeGeneratedTopology(
-                activations, static_cast<int>(i));
-            if (!checker.isLegal(t)) continue;
-            ok[k] = 1;
-            const squish::Topology canon = squish::canonicalize(t);
-            hashes[k] = squish::hashTopology(canon);
-            packs[k] = pack(canon);
-          }
-        });
-        tally.add("assess", static_cast<std::uint64_t>(b), t0);
+          // Assess: threshold/unpad, legality, canonicalize, hash and
+          // pack sample-parallel into index-ordered slots (§6 contract).
+          assessFault.orThrow();
+          t0 = Clock::now();
+          dp::parallelFor(b, 8, [&](long i0, long i1) {
+            for (long i = i0; i < i1; ++i) {
+              const auto k = static_cast<std::size_t>(row0 + i);
+              const squish::Topology t = models::decodeGeneratedTopology(
+                  activations, static_cast<int>(i));
+              if (!checker.isLegal(t)) continue;
+              ok[k] = 1;
+              const squish::Topology canon = squish::canonicalize(t);
+              hashes[k] = squish::hashTopology(canon);
+              packs[k] = pack(canon);
+            }
+          });
+          tally.add("assess", static_cast<std::uint64_t>(b), t0);
+        }
       }
 
       // Dedup + store fold: replay the slots serially in ascending
-      // sample order, so insertion order (and with it every segment
-      // byte) is thread-count invariant.
-      dedupFault.orThrow();
+      // sample order, crossing the dedup boundary at each batch start,
+      // so insertion order (and with it every segment byte) is
+      // thread-count invariant.
       t0 = Clock::now();
-      for (int i = 0; i < b; ++i) {
+      for (long i = 0; i < n; ++i) {
+        if (i % batchSize == 0) dedupFault.orThrow();
         const auto k = static_cast<std::size_t>(i);
         if (!ok[k]) continue;
         ++legal;
@@ -275,8 +318,8 @@ MassiveResult runMassive(const models::Tcae& tcae,
           seal();
         }
       }
-      tally.add("dedup", static_cast<std::uint64_t>(b), t0);
-      cursor += b;
+      tally.add("dedup", static_cast<std::uint64_t>(n), t0);
+      cursor += n;
     }
 
     // Checkpoint: seal the partial segment so the manifest covers every

@@ -12,16 +12,33 @@
 /// and any batch can be regenerated without replaying history. That is
 /// what makes the checkpoint cursor sufficient for exact resume.
 ///
+/// Waves: batches move through the stages a wave at a time. A wave is
+/// the next run of whole batches from the cursor, up to a fixed 2,048
+/// samples (at least one batch), cut short at the checkpoint boundary,
+/// so only its last batch can be short — the batch cut of a
+/// batch-at-a-time loop. Plan runs as one parallel loop over the
+/// wave's batches, each on its own cursor-keyed stream; the fused
+/// route decodes every row of the wave in one call (decode is
+/// per-sample) and assesses the wave in one parallel loop; the float
+/// fallback decodes and assesses batch by batch, so its GEMM shapes
+/// and bits are unchanged; dedup/seal/commit stay a serial fold, batch
+/// by batch. The wave size is a constant, never a function of
+/// DP_THREADS.
+///
 /// Determinism: decode and assessment run parallel into index-ordered
 /// slots and the dedup/store fold replays them in ascending sample
 /// order (the §6 contract), so the final store is bit-identical at any
-/// DP_THREADS, and a run killed at any point resumes — from the last
-/// committed manifest — to the byte-identical store an uninterrupted
-/// run produces.
+/// DP_THREADS — and identical to a batch-at-a-time loop's — and a run
+/// killed at any point resumes — from the last committed manifest — to
+/// the byte-identical store an uninterrupted run produces.
 ///
 /// Fault sites (chaos suite kills the run at every stage boundary):
 /// pipeline.checkpoint.plan / .decode / .assess / .dedup / .seal /
 /// .commit / .resume, plus the io.atomic.* sites inside the writers.
+/// The plan, decode, assess and dedup sites are called once per batch,
+/// on the calling thread, in ascending batch order: plan, decode and
+/// assess at the start of their wave step (the float fallback: before
+/// each batch's decode and assess), dedup before each batch's fold.
 
 #include <cstdint>
 #include <map>
@@ -61,7 +78,9 @@ struct MassiveResult {
   long resumedFrom = 0;   ///< cursor at resume (0 for a fresh run)
   /// Per-stage totals keyed by stage name: plan, decode, assess,
   /// dedup, seal (segment writes), commit (manifest publishes), and —
-  /// on resumed runs — resume (the dedup-set rebuild scan).
+  /// on resumed runs — resume (the dedup-set rebuild scan). Plan,
+  /// decode, assess and dedup count every sample once; their seconds
+  /// are the wall time of the matching wave steps.
   std::map<std::string, StageStats> stages;
 
   [[nodiscard]] double legalFraction() const {

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -24,13 +25,16 @@
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
 #include "core/flows.hpp"
+#include "core/fused_generate.hpp"
 #include "core/pattern_library.hpp"
 #include "core/pipeline.hpp"
 #include "datagen/generator.hpp"
 #include "drc/geometry_rules.hpp"
+#include "drc/packed_rules.hpp"
 #include "drc/topology_rules.hpp"
 #include "geometry/design_rules.hpp"
 #include "lp/geometry_solver.hpp"
+#include "models/batch.hpp"
 #include "models/tcae.hpp"
 #include "pipeline/massive.hpp"
 #include "pipeline/packed.hpp"
@@ -39,6 +43,7 @@
 #include "serve/metrics.hpp"
 #include "squish/canonical.hpp"
 #include "squish/hash.hpp"
+#include "squish/packed_topo.hpp"
 #include "testutil.hpp"
 
 namespace {
@@ -462,6 +467,125 @@ TEST_F(MassivePipeline, CompletesAndIsDeterministicAcrossThreadCounts) {
       EXPECT_EQ(result.unique, first.unique);
       EXPECT_DOUBLE_EQ(result.diversity, first.diversity);
     }
+  }
+}
+
+// Rebuilds the expected record stream from public primitives alone,
+// one batch at a time: per-cursor Rng stream → sampleIndices /
+// gatherRows / perturbation → fused decode → unpad, canonicalize,
+// legality, hash → ordered first-seen dedup. Pins the cursor-keyed
+// stream layout independently of how runMassive groups its work; the
+// count is a multiple of neither the batch nor the wave size.
+TEST_F(MassivePipeline, StoreMatchesPerBatchOracle) {
+  const TinyWorld& w = tinyWorld();
+  const dp::core::FusedDecodeRoute route(w.tcae);
+  MassiveConfig config;
+  config.count = 2048 + 37;
+  config.batchSize = 64;
+  config.checkpointEvery = 4096;
+  config.patternsPerSegment = 40;
+  config.seed = 91;
+
+  long legal = 0;
+  std::vector<std::pair<std::uint64_t, PackedPattern>> expected;
+  std::map<std::uint64_t, std::vector<PackedPattern>> seen;
+  const std::uint64_t streamBase = dp::splitmix64(config.seed);
+  const int edge = route.topologySize();
+  for (long c = 0; c < config.count; c += config.batchSize) {
+    const int b = static_cast<int>(
+        std::min<long>(config.batchSize, config.count - c));
+    dp::Rng rng(dp::taskSeed(streamBase, static_cast<std::uint64_t>(c)));
+    const auto idx =
+        dp::models::sampleIndices(w.sourceLatents.size(0), b, rng);
+    dp::nn::Tensor latents = dp::models::gatherRows(w.sourceLatents, idx);
+    latents += w.perturber.sampleBatch(b, rng);
+    std::vector<std::uint32_t> masks;
+    route.decodeMasks(latents, masks);
+    for (int i = 0; i < b; ++i) {
+      std::uint32_t rows[dp::squish::kMaxMaskCols];
+      std::copy_n(masks.data() + static_cast<std::size_t>(i) * edge, edge,
+                  rows);
+      int nRows = edge;
+      int nCols = edge;
+      dp::squish::unpadMasks(rows, nRows, nCols);
+      dp::squish::canonicalizeMasks(rows, nRows, nCols);
+      if (!dp::drc::isLegalCanonicalMasks(w.checker.config(), rows, nRows,
+                                          nCols))
+        continue;
+      ++legal;
+      const std::uint64_t hash = dp::squish::hashMasks(rows, nRows, nCols);
+      const PackedPattern packed =
+          dp::pipeline::packMasks(rows, nRows, nCols);
+      auto& bucket = seen[hash];
+      if (std::find(bucket.begin(), bucket.end(), packed) != bucket.end())
+        continue;
+      bucket.push_back(packed);
+      expected.emplace_back(hash, packed);
+    }
+  }
+  ASSERT_GT(expected.size(), 1u);
+
+  for (const int threads : {1, 8}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    dp::test::ScopedDpThreads guard(threads);
+    ScopedTempDir dir("dp_pipeline_oracle_" + std::to_string(threads));
+    config.dir = dir.path();
+    const auto result = runMassive(config);
+    EXPECT_EQ(result.generated, config.count);
+    EXPECT_EQ(result.legal, legal);
+    EXPECT_EQ(result.unique, expected.size());
+
+    std::vector<std::pair<std::uint64_t, PackedPattern>> stored;
+    const auto manifest = dp::pipeline::loadManifest(dir.path());
+    ASSERT_TRUE(manifest.has_value());
+    for (const SegmentInfo& seg : manifest->segments) {
+      SegmentReader reader(dir.path(), seg);
+      reader.forEach([&](std::uint64_t hash, const PackedPattern& p) {
+        stored.emplace_back(hash, p);
+      });
+    }
+    EXPECT_TRUE(stored == expected)
+        << stored.size() << " stored vs " << expected.size()
+        << " expected records";
+  }
+}
+
+// Every per-batch boundary site is crossed once per batch on the
+// coordinator thread, however the batches are grouped into waves. The
+// run spans several waves and checkpoint intervals and ends in a
+// partial wave and a partial batch.
+TEST_F(MassivePipeline, BoundarySitesCalledOncePerBatch) {
+  const std::vector<std::string> sites = {
+      "pipeline.checkpoint.plan", "pipeline.checkpoint.decode",
+      "pipeline.checkpoint.assess", "pipeline.checkpoint.dedup"};
+  MassiveConfig config;
+  config.count = 2 * 2048 + 37;
+  config.batchSize = 64;
+  config.checkpointEvery = 3000;
+  config.patternsPerSegment = 40;
+  config.seed = 5;
+  // [0, 3000): 46 full batches + one of 56; [3000, 4133): 17 full
+  // batches + one of 45.
+  const std::uint64_t batches = 47 + 18;
+
+  for (const int threads : {1, 8}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    dp::test::ScopedDpThreads guard(threads);
+    ScopedTempDir dir("dp_pipeline_calls_" + std::to_string(threads));
+    config.dir = dir.path();
+    // Armed at a vanishing rate: counts calls without ever firing.
+    for (const std::string& site : sites) dp::faults::arm(site, 3, 1e-12);
+    const auto result = runMassive(config);
+    const auto counters = dp::faults::counters();
+    dp::faults::disarmAll();
+    for (const std::string& site : sites) {
+      EXPECT_EQ(counters.at(site).calls, batches) << site;
+      EXPECT_EQ(counters.at(site).fires, 0u) << site;
+    }
+    for (const char* stage : {"plan", "decode", "assess", "dedup"})
+      EXPECT_EQ(result.stages.at(stage).items,
+                static_cast<std::uint64_t>(config.count))
+          << stage;
   }
 }
 
