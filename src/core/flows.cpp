@@ -49,45 +49,50 @@ void accountActivationBatch(const nn::Tensor& activations,
   }
 }
 
+bool assessMaskSample(const std::uint32_t* sample, int edge,
+                      const drc::TopologyChecker& checker, std::uint64_t& hash,
+                      squish::PackedPattern& packed) {
+  std::uint32_t rows[squish::kMaxMaskCols];
+  std::copy_n(sample, edge, rows);
+  int nRows = edge;
+  int nCols = edge;
+  squish::unpadMasks(rows, nRows, nCols);
+  squish::canonicalizeMasks(rows, nRows, nCols);
+  if (!drc::isLegalCanonicalMasks(checker.config(), rows, nRows, nCols))
+    return false;
+  hash = squish::hashMasks(rows, nRows, nCols);
+  packed = squish::packMasks(rows, nRows, nCols);
+  return true;
+}
+
 void accountMaskBatch(const std::uint32_t* masks, int batch, int edge,
                       const drc::TopologyChecker& checker,
                       GenerationResult& result) {
   if (edge <= 0 || edge > squish::kMaxMaskCols)
     throw std::invalid_argument(
         "accountMaskBatch: edge must fit a 32-bit row mask");
-  // Same index-ordered-slot scheme as accountActivationBatch: unpad,
-  // canonicalize and legality run sample-parallel on the packed words;
-  // the serial fold below keeps insertion order thread-count invariant.
+  // Same index-ordered-slot scheme as accountActivationBatch: the
+  // assessment (hash and pack included) runs sample-parallel; the
+  // serial fold below is a library lookup per legal sample and keeps
+  // insertion order thread-count invariant.
   struct Slot {
-    std::uint32_t rows[squish::kMaxMaskCols];
-    int nRows = 0;
-    int nCols = 0;
-    char legal = 0;
+    std::uint64_t hash = 0;
+    squish::PackedPattern packed;
+    bool legal = false;
   };
   std::vector<Slot> slots(static_cast<std::size_t>(batch));
   dp::parallelFor(batch, 8, [&](long i0, long i1) {
     for (long i = i0; i < i1; ++i) {
       Slot& slot = slots[static_cast<std::size_t>(i)];
-      const std::uint32_t* sample = masks + i * edge;
-      for (int r = 0; r < edge; ++r) slot.rows[r] = sample[r];
-      slot.nRows = edge;
-      slot.nCols = edge;
-      squish::unpadMasks(slot.rows, slot.nRows, slot.nCols);
-      squish::canonicalizeMasks(slot.rows, slot.nRows, slot.nCols);
-      slot.legal = drc::isLegalCanonicalMasks(checker.config(), slot.rows,
-                                              slot.nRows, slot.nCols)
-                       ? 1
-                       : 0;
+      slot.legal = assessMaskSample(masks + i * edge, edge, checker,
+                                    slot.hash, slot.packed);
     }
   });
   for (const Slot& slot : slots) {
     ++result.generated;
     if (!slot.legal) continue;
     ++result.legal;
-    // add() canonicalizes internally; the form is already canonical, so
-    // this stores exactly what the float path stores.
-    result.unique.add(
-        squish::masksToTopology(slot.rows, slot.nRows, slot.nCols));
+    result.unique.insertCanonical(slot.hash, slot.packed);
   }
 }
 

@@ -20,6 +20,7 @@
 #include "core/perturb.hpp"
 #include "drc/topology_rules.hpp"
 #include "models/tcae.hpp"
+#include "squish/packed_pattern.hpp"
 
 namespace dp::core {
 
@@ -42,10 +43,22 @@ void accountActivationBatch(const nn::Tensor& activations,
                             GenerationResult& result,
                             const nn::Tensor* perturbations = nullptr);
 
+/// Assesses one fused-route sample on its `edge` row masks (DESIGN.md
+/// §14): unpad, canonicalize and legality run on the packed words, and
+/// a legal sample also gets its canonical hash and packed form. Returns
+/// whether the sample is legal; `hash` and `packed` are only written
+/// for legal samples. Requires 1 <= edge <= squish::kMaxMaskCols. Both
+/// accountMaskBatch and the massive pipeline's assess step call it, so
+/// their serial folds are plain PatternLibrary lookups.
+[[nodiscard]] bool assessMaskSample(const std::uint32_t* sample, int edge,
+                                    const drc::TopologyChecker& checker,
+                                    std::uint64_t& hash,
+                                    squish::PackedPattern& packed);
+
 /// accountActivationBatch for the fused decode route's bit-packed
 /// output (DESIGN.md §14): `masks` holds `batch` samples of `edge` row
-/// masks each (bit c of a row = cell (r, c)). Unpad, canonicalization
-/// and legality all run on the packed words; the accounting fold (and
+/// masks each (bit c of a row = cell (r, c)). Samples are assessed
+/// sample-parallel by assessMaskSample; the accounting fold (and
 /// therefore the PatternLibrary contents and order) matches what the
 /// float path produces for the same binarized samples. Good-vector
 /// collection is not supported on this route — callers that need it

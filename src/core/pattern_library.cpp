@@ -10,72 +10,89 @@
 namespace dp::core {
 
 bool PatternLibrary::add(const squish::Topology& t) {
-  squish::Topology canon = squish::canonicalize(t);
-  const std::uint64_t h = squish::hashTopology(canon);
-  auto& bucket = patterns_[h];
-  for (const auto& existing : bucket)
-    if (existing == canon) return false;
-  complexities_.push_back(squish::complexityOfCanonical(canon));
-  bucket.push_back(std::move(canon));
+  const squish::Topology canon = squish::canonicalize(t);
+  return insertCanonical(squish::hashTopology(canon), squish::pack(canon));
+}
+
+bool PatternLibrary::insertCanonical(std::uint64_t hash,
+                                     const squish::PackedPattern& packed) {
+  auto& bucket = buckets_[hash];
+  if (std::find(bucket.begin(), bucket.end(), packed) != bucket.end())
+    return false;
+  bucket.push_back(packed);
+  ++size_;
   return true;
 }
 
 bool PatternLibrary::contains(const squish::Topology& t) const {
   const squish::Topology canon = squish::canonicalize(t);
-  const auto it = patterns_.find(squish::hashTopology(canon));
-  if (it == patterns_.end()) return false;
-  return std::find(it->second.begin(), it->second.end(), canon) !=
+  return contains(squish::hashTopology(canon), squish::pack(canon));
+}
+
+bool PatternLibrary::contains(std::uint64_t hash,
+                              const squish::PackedPattern& packed) const {
+  const auto it = buckets_.find(hash);
+  if (it == buckets_.end()) return false;
+  return std::find(it->second.begin(), it->second.end(), packed) !=
          it->second.end();
 }
 
 std::vector<squish::Topology> PatternLibrary::patterns() const {
   std::vector<squish::Topology> out;
-  out.reserve(complexities_.size());
-  for (const auto& [h, bucket] : patterns_)
-    for (const auto& t : bucket) out.push_back(t);
+  out.reserve(size_);
+  forEach([&out](std::uint64_t, const squish::PackedPattern& p) {
+    out.push_back(squish::unpack(p));
+  });
   return out;
 }
 
 std::vector<squish::Complexity> PatternLibrary::complexities() const {
-  return complexities_;
+  std::vector<squish::Complexity> out;
+  out.reserve(size_);
+  forEach([&out](std::uint64_t, const squish::PackedPattern& p) {
+    out.push_back({p.cx(), p.cy()});
+  });
+  return out;
 }
 
 double PatternLibrary::diversity() const {
-  return shannonDiversity(complexities_);
+  return shannonDiversity(complexities());
 }
 
 double PatternLibrary::meanCx() const {
-  if (complexities_.empty()) return 0.0;
+  if (size_ == 0) return 0.0;
   double s = 0.0;
-  for (const auto& c : complexities_) s += c.cx;
-  return s / static_cast<double>(complexities_.size());
+  for (const auto& c : complexities()) s += c.cx;
+  return s / static_cast<double>(size_);
 }
 
 double PatternLibrary::meanCy() const {
-  if (complexities_.empty()) return 0.0;
+  if (size_ == 0) return 0.0;
   double s = 0.0;
-  for (const auto& c : complexities_) s += c.cy;
-  return s / static_cast<double>(complexities_.size());
+  for (const auto& c : complexities()) s += c.cy;
+  return s / static_cast<double>(size_);
 }
 
 std::vector<std::vector<double>> PatternLibrary::histogram() const {
+  const std::vector<squish::Complexity> cplx = complexities();
   int maxCx = 0, maxCy = 0;
-  for (const auto& c : complexities_) {
+  for (const auto& c : cplx) {
     maxCx = std::max(maxCx, c.cx);
     maxCy = std::max(maxCy, c.cy);
   }
   std::vector<std::vector<double>> counts(
       static_cast<std::size_t>(maxCy) + 1,
       std::vector<double>(static_cast<std::size_t>(maxCx) + 1, 0.0));
-  for (const auto& c : complexities_)
+  for (const auto& c : cplx)
     counts[static_cast<std::size_t>(c.cy)]
           [static_cast<std::size_t>(c.cx)] += 1.0;
   return counts;
 }
 
 void PatternLibrary::merge(const PatternLibrary& other) {
-  for (const auto& [h, bucket] : other.patterns_)
-    for (const auto& t : bucket) add(t);
+  other.forEach([this](std::uint64_t hash, const squish::PackedPattern& p) {
+    insertCanonical(hash, p);
+  });
 }
 
 double shannonDiversity(const std::vector<squish::Complexity>& cplx) {

@@ -1,10 +1,13 @@
 #include "io/json.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <stdexcept>
+#include <system_error>
 
 namespace dp::io {
 
@@ -276,21 +279,35 @@ double Json::asDouble() const {
 
 long Json::asLong() const {
   if (type_ != Type::kNumber) typeError("number", type_);
+  // Both bounds are powers of two, so exact as doubles; anything past
+  // them, fractional or non-finite would otherwise be truncated,
+  // wrapped or undefined.
+  const double limit = std::ldexp(1.0, std::numeric_limits<long>::digits);
+  if (!std::isfinite(number_) || number_ != std::trunc(number_) ||
+      number_ < -limit || number_ >= limit)
+    throw std::runtime_error("Json: number is not an integer in long range");
   return static_cast<long>(number_);
 }
 
 std::uint64_t Json::asUint64() const {
   if (type_ == Type::kString) {
-    try {
-      return std::stoull(string_);
-    } catch (const std::exception&) {
+    // Plain decimal digits only. std::from_chars takes no sign, blank
+    // or prefix for an unsigned type (std::stoull would wrap "-1" to
+    // 2^64 - 1), and the whole string must be consumed.
+    std::uint64_t v = 0;
+    const char* end = string_.data() + string_.size();
+    const auto [ptr, ec] = std::from_chars(string_.data(), end, v);
+    if (ec != std::errc() || ptr != end)
       throw std::runtime_error("Json: string is not a valid uint64: " +
                                string_);
-    }
+    return v;
   }
   if (type_ != Type::kNumber) typeError("number or numeric string", type_);
-  if (number_ < 0)
-    throw std::runtime_error("Json: negative value for uint64 field");
+  const double limit =
+      std::ldexp(1.0, std::numeric_limits<std::uint64_t>::digits);
+  if (!std::isfinite(number_) || number_ != std::trunc(number_) ||
+      number_ < 0 || number_ >= limit)
+    throw std::runtime_error("Json: number is not an integer in uint64 range");
   return static_cast<std::uint64_t>(number_);
 }
 

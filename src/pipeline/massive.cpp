@@ -11,14 +11,12 @@
 #include "common/fault.hpp"
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
+#include "core/flows.hpp"
 #include "core/fused_generate.hpp"
-#include "drc/packed_rules.hpp"
 #include "models/batch.hpp"
 #include "models/topology_codec.hpp"
-#include "pipeline/sharded_set.hpp"
 #include "squish/canonical.hpp"
 #include "squish/hash.hpp"
-#include "squish/packed_topo.hpp"
 
 namespace dp::pipeline {
 
@@ -112,7 +110,16 @@ MassiveResult runMassive(const models::Tcae& tcae,
 
   MassiveResult result;
   StageTally tally;
-  ShardedPatternSet set;
+  core::PatternLibrary library;
+  // The manifest's shardSizes: the library's unique count per top-6-bit
+  // canonical-hash prefix, counted as inserts land (a resume compares
+  // its rebuild against the committed counts).
+  std::vector<std::uint64_t> shardSizes(64, 0);
+  const auto insert = [&](std::uint64_t hash, const squish::PackedPattern& p) {
+    if (!library.insertCanonical(hash, p)) return false;
+    ++shardSizes[hash >> 58];
+    return true;
+  };
   StoreManifest manifest;
 
   if (const auto loaded = loadManifest(config.dir)) {
@@ -127,20 +134,21 @@ MassiveResult runMassive(const models::Tcae& tcae,
       throw std::invalid_argument(
           "runMassive: count " + std::to_string(config.count) +
           " is behind the committed cursor " + std::to_string(m.cursor));
-    // Rebuild the dedup set from the committed segments. Ascending
+    // Rebuild the dedup library from the committed segments. Ascending
     // segment order replays first-insertion order, so collision-bucket
     // order (and therefore all downstream enumeration) matches the
     // original run exactly.
     const auto t0 = Clock::now();
     for (const SegmentInfo& seg : m.segments) {
       SegmentReader reader(config.dir, seg);
-      reader.forEach([&set](std::uint64_t hash, const PackedPattern& p) {
-        set.insertPacked(hash, p);
-      });
+      reader.forEach(
+          [&insert](std::uint64_t hash, const squish::PackedPattern& p) {
+            insert(hash, p);
+          });
     }
-    if (set.size() != m.unique || set.shardSizes() != m.shardSizes)
+    if (library.size() != m.unique || shardSizes != m.shardSizes)
       throw std::runtime_error(
-          "runMassive: dedup-set rebuild disagrees with the manifest "
+          "runMassive: dedup rebuild disagrees with the manifest "
           "(corrupt store at " +
           config.dir + ")");
     tally.add("resume", m.unique, t0);
@@ -230,7 +238,7 @@ MassiveResult runMassive(const models::Tcae& tcae,
 
       std::vector<char> ok(static_cast<std::size_t>(n), 0);
       std::vector<std::uint64_t> hashes(static_cast<std::size_t>(n), 0);
-      std::vector<PackedPattern> packs(static_cast<std::size_t>(n));
+      std::vector<squish::PackedPattern> packs(static_cast<std::size_t>(n));
       if (fused) {
         // Fused route: latents go straight to bit-packed binarized
         // topologies, and the whole assessment runs on the packed
@@ -246,21 +254,12 @@ MassiveResult runMassive(const models::Tcae& tcae,
         for (long j = 0; j < nb; ++j) assessFault.orThrow();
         const int edge = fused->topologySize();
         dp::parallelFor(n, 8, [&](long i0, long i1) {
-          std::uint32_t rows[squish::kMaxMaskCols];
           for (long i = i0; i < i1; ++i) {
             const auto k = static_cast<std::size_t>(i);
-            const std::uint32_t* sample = masks.data() + i * edge;
-            for (int r = 0; r < edge; ++r) rows[r] = sample[r];
-            int nRows = edge;
-            int nCols = edge;
-            squish::unpadMasks(rows, nRows, nCols);
-            squish::canonicalizeMasks(rows, nRows, nCols);
-            if (!drc::isLegalCanonicalMasks(checker.config(), rows, nRows,
-                                            nCols))
-              continue;
-            ok[k] = 1;
-            hashes[k] = squish::hashMasks(rows, nRows, nCols);
-            packs[k] = packMasks(rows, nRows, nCols);
+            ok[k] = core::assessMaskSample(masks.data() + i * edge, edge,
+                                           checker, hashes[k], packs[k])
+                        ? 1
+                        : 0;
           }
         });
         tally.add("assess", static_cast<std::uint64_t>(n), t0);
@@ -293,7 +292,7 @@ MassiveResult runMassive(const models::Tcae& tcae,
               ok[k] = 1;
               const squish::Topology canon = squish::canonicalize(t);
               hashes[k] = squish::hashTopology(canon);
-              packs[k] = pack(canon);
+              packs[k] = squish::pack(canon);
             }
           });
           tally.add("assess", static_cast<std::uint64_t>(b), t0);
@@ -310,7 +309,7 @@ MassiveResult runMassive(const models::Tcae& tcae,
         const auto k = static_cast<std::size_t>(i);
         if (!ok[k]) continue;
         ++legal;
-        if (!set.insertPacked(hashes[k], packs[k])) continue;
+        if (!insert(hashes[k], packs[k])) continue;
         builder.add(hashes[k], packs[k]);
         if (builder.patterns() >=
             static_cast<std::uint64_t>(config.patternsPerSegment)) {
@@ -332,8 +331,8 @@ MassiveResult runMassive(const models::Tcae& tcae,
     const auto t0 = Clock::now();
     manifest.cursor = cursor;
     manifest.legal = legal;
-    manifest.unique = set.size();
-    manifest.shardSizes = set.shardSizes();
+    manifest.unique = library.size();
+    manifest.shardSizes = shardSizes;
     commitManifest(config.dir, manifest);
     tally.add("commit", 1, t0);
     tally.flush(metrics);
@@ -342,8 +341,8 @@ MassiveResult runMassive(const models::Tcae& tcae,
 
   result.generated = cursor;
   result.legal = legal;
-  result.unique = set.size();
-  result.diversity = set.diversity();
+  result.unique = library.size();
+  result.diversity = library.diversity();
   result.stages = tally.total;
   return result;
 }
@@ -359,9 +358,9 @@ core::PatternLibrary loadLibrary(const std::string& dir,
   for (const SegmentInfo& seg : manifest->segments) {
     if (static_cast<long>(library.size()) >= cap) break;
     SegmentReader reader(dir, seg);
-    reader.forEach([&](std::uint64_t, const PackedPattern& p) {
+    reader.forEach([&](std::uint64_t hash, const squish::PackedPattern& p) {
       if (static_cast<long>(library.size()) >= cap) return;
-      library.add(unpack(p));
+      library.insertCanonical(hash, p);
     });
   }
   return library;

@@ -78,7 +78,7 @@ struct MassiveResult {
   long resumedFrom = 0;   ///< cursor at resume (0 for a fresh run)
   /// Per-stage totals keyed by stage name: plan, decode, assess,
   /// dedup, seal (segment writes), commit (manifest publishes), and —
-  /// on resumed runs — resume (the dedup-set rebuild scan). Plan,
+  /// on resumed runs — resume (the dedup-library rebuild scan). Plan,
   /// decode, assess and dedup count every sample once; their seconds
   /// are the wall time of the matching wave steps.
   std::map<std::string, StageStats> stages;
@@ -96,7 +96,7 @@ struct MassiveResult {
 /// (dp_pipeline_stage_* series) at every checkpoint.
 ///
 /// Resume contract: if `config.dir` holds a dp-pipeline-1 manifest, the
-/// run continues from its cursor after rebuilding the dedup set from
+/// run continues from its cursor after rebuilding the dedup library from
 /// the committed segments (CRC-verified, ascending segment order =
 /// original insertion order). A manifest written under different
 /// (seed, batchSize, checkpointEvery, patternsPerSegment) parameters —

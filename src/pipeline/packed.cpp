@@ -19,73 +19,21 @@ std::uint64_t readU64(const char* p) {
   return v;
 }
 
-std::size_t wordCount(int cells) {
-  return (static_cast<std::size_t>(cells) + 63) / 64;
-}
-
 }  // namespace
 
-PackedPattern pack(const squish::Topology& t) {
-  if (t.empty())
-    throw std::invalid_argument("pipeline::pack: empty topology");
-  if (t.rows() > 255 || t.cols() > 255)
-    throw std::invalid_argument(
-        "pipeline::pack: topology exceeds 255 cells per axis");
-  PackedPattern p;
-  p.rows = static_cast<std::uint8_t>(t.rows());
-  p.cols = static_cast<std::uint8_t>(t.cols());
-  p.words.assign(wordCount(static_cast<int>(t.cellCount())), 0);
-  const auto& cells = t.cells();
-  for (std::size_t i = 0; i < cells.size(); ++i)
-    if (cells[i]) p.words[i / 64] |= std::uint64_t{1} << (i % 64);
-  return p;
-}
-
-PackedPattern packMasks(const std::uint32_t* masks, int rows, int cols) {
-  if (rows <= 0 || cols <= 0)
-    throw std::invalid_argument("pipeline::packMasks: empty topology");
-  if (rows > 255 || cols > 255)
-    throw std::invalid_argument(
-        "pipeline::packMasks: topology exceeds 255 cells per axis");
-  PackedPattern p;
-  p.rows = static_cast<std::uint8_t>(rows);
-  p.cols = static_cast<std::uint8_t>(cols);
-  p.words.assign(wordCount(rows * cols), 0);
-  for (int r = 0; r < rows; ++r)
-    for (int c = 0; c < cols; ++c)
-      if ((masks[r] >> c) & 1U) {
-        const std::size_t i =
-            static_cast<std::size_t>(r) * cols + static_cast<std::size_t>(c);
-        p.words[i / 64] |= std::uint64_t{1} << (i % 64);
-      }
-  return p;
-}
-
-squish::Topology unpack(const PackedPattern& p) {
-  if (p.rows == 0 || p.cols == 0)
-    throw std::invalid_argument("pipeline::unpack: zero-sized pattern");
-  const int cells = p.cellCount();
-  if (p.words.size() != wordCount(cells))
-    throw std::invalid_argument("pipeline::unpack: word count mismatch");
-  std::vector<std::uint8_t> out(static_cast<std::size_t>(cells), 0);
-  for (std::size_t i = 0; i < out.size(); ++i)
-    out[i] = (p.words[i / 64] >> (i % 64)) & 1U ? 1 : 0;
-  return {p.rows, p.cols, out};
-}
-
-std::size_t recordBytes(const PackedPattern& p) {
+std::size_t recordBytes(const squish::PackedPattern& p) {
   return 8 + 2 + 8 * p.words.size();
 }
 
 void appendRecord(std::string& buffer, std::uint64_t hash,
-                  const PackedPattern& p) {
+                  const squish::PackedPattern& p) {
   appendU64(buffer, hash);
   buffer.push_back(static_cast<char>(p.rows));
   buffer.push_back(static_cast<char>(p.cols));
   for (const std::uint64_t w : p.words) appendU64(buffer, w);
 }
 
-void RecordCursor::next(std::uint64_t& hash, PackedPattern& p) {
+void RecordCursor::next(std::uint64_t& hash, squish::PackedPattern& p) {
   if (end_ - cur_ < 10)
     throw std::runtime_error("pipeline: truncated pattern record header");
   hash = readU64(cur_);
@@ -94,7 +42,7 @@ void RecordCursor::next(std::uint64_t& hash, PackedPattern& p) {
   cur_ += 10;
   if (p.rows == 0 || p.cols == 0)
     throw std::runtime_error("pipeline: zero-sized pattern record");
-  const std::size_t words = wordCount(p.cellCount());
+  const std::size_t words = squish::packedWordCount(p.cellCount());
   if (static_cast<std::size_t>(end_ - cur_) < 8 * words)
     throw std::runtime_error("pipeline: truncated pattern record body");
   p.words.resize(words);

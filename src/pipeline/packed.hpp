@@ -1,73 +1,29 @@
 #pragma once
 
 /// \file packed.hpp
-/// Bit-packed canonical-topology records — the storage unit of the
-/// massive-generation pattern library (DESIGN.md §12). A canonical
-/// topology is at most 24x24 cells, so one byte per cell (the in-memory
-/// squish::Topology layout) wastes 8x at the million-pattern scale this
-/// pipeline targets. PackedPattern stores 64 cells per machine word;
-/// the on-disk record prepends the canonical hash so a resume pass can
-/// rebuild the dedup set without re-hashing every pattern.
+/// On-disk records of the massive-generation pattern store (DESIGN.md
+/// §12): one squish::PackedPattern behind its canonical hash, so a
+/// resume pass can rebuild the dedup library without re-hashing every
+/// pattern.
 ///
 /// Record wire format (little-endian, CRC-protected at segment level):
 ///
 ///   [u64 canonical hash][u8 rows][u8 cols][ceil(rows*cols/64) x u64]
-///
-/// Bit i of word w is cell index w*64 + i of the row-major (bottom row
-/// first) cell vector — the same enumeration order Topology::cells()
-/// uses, so pack/unpack is a pure reshape.
 
 #include <cstddef>
 #include <cstdint>
 #include <string>
-#include <vector>
 
-#include "squish/topology.hpp"
+#include "squish/packed_pattern.hpp"
 
 namespace dp::pipeline {
 
-/// A topology packed 64 cells per word. Equality is exact (dims and
-/// every cell), so hash collisions in the dedup set are resolved on the
-/// packed form without unpacking.
-struct PackedPattern {
-  std::uint8_t rows = 0;
-  std::uint8_t cols = 0;
-  std::vector<std::uint64_t> words;  ///< LSB-first, 64 cells per word
-
-  [[nodiscard]] int cellCount() const {
-    return static_cast<int>(rows) * static_cast<int>(cols);
-  }
-  /// (cx, cy) of the canonical topology this packs: cx = cols,
-  /// cy = rows (paper Definition 1 on the canonical matrix).
-  [[nodiscard]] int cx() const { return cols; }
-  [[nodiscard]] int cy() const { return rows; }
-
-  friend bool operator==(const PackedPattern&,
-                         const PackedPattern&) = default;
-};
-
-/// Packs a topology (any 0/1 matrix with 1..255 rows and columns; the
-/// pipeline only ever packs canonical forms, but packing is defined for
-/// every topology so property tests can round-trip arbitrary inputs).
-/// Throws std::invalid_argument on empty or oversized matrices.
-[[nodiscard]] PackedPattern pack(const squish::Topology& t);
-
-/// Exact inverse of pack().
-[[nodiscard]] squish::Topology unpack(const PackedPattern& p);
-
-/// pack() for a row-mask matrix (bit c of masks[r] = cell (r, c), the
-/// squish/packed_topo.hpp convention): produces the byte-identical
-/// PackedPattern that pack(masksToTopology(...)) would, without
-/// materializing the Topology. Same argument checks as pack().
-[[nodiscard]] PackedPattern packMasks(const std::uint32_t* masks, int rows,
-                                      int cols);
-
 /// Serialized size of one (hash, pattern) record in bytes.
-[[nodiscard]] std::size_t recordBytes(const PackedPattern& p);
+[[nodiscard]] std::size_t recordBytes(const squish::PackedPattern& p);
 
 /// Appends the little-endian record for (hash, p) to `buffer`.
 void appendRecord(std::string& buffer, std::uint64_t hash,
-                  const PackedPattern& p);
+                  const squish::PackedPattern& p);
 
 /// Forward cursor over a byte range of serialized records. The range
 /// must outlive the cursor (segments hand out their mmap'd bytes).
@@ -82,7 +38,7 @@ class RecordCursor {
   /// or malformed record (zero dims) — segment CRCs make this
   /// unreachable for committed data, but the reader still refuses to
   /// fabricate patterns from garbage.
-  void next(std::uint64_t& hash, PackedPattern& p);
+  void next(std::uint64_t& hash, squish::PackedPattern& p);
 
  private:
   const char* cur_;

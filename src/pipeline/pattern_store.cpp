@@ -22,7 +22,8 @@ namespace dp::pipeline {
 namespace fs = std::filesystem;
 using dp::io::Json;
 
-void SegmentBuilder::add(std::uint64_t hash, const PackedPattern& p) {
+void SegmentBuilder::add(std::uint64_t hash,
+                         const squish::PackedPattern& p) {
   appendRecord(bytes_, hash, p);
   ++patterns_;
 }
@@ -96,11 +97,11 @@ SegmentReader::~SegmentReader() {
 }
 
 void SegmentReader::forEach(
-    const std::function<void(std::uint64_t, const PackedPattern&)>& fn)
-    const {
+    const std::function<void(std::uint64_t, const squish::PackedPattern&)>&
+        fn) const {
   RecordCursor cursor(static_cast<const char*>(map_), bytes_);
   std::uint64_t hash = 0;
-  PackedPattern packed;
+  squish::PackedPattern packed;
   std::uint64_t seen = 0;
   while (!cursor.done()) {
     cursor.next(hash, packed);

@@ -9,8 +9,8 @@
 /// Layout of a store directory:
 ///
 ///   manifest.json   — dp-pipeline-1 checkpoint: generation cursor,
-///                     legality counts, per-shard unique counts and the
-///                     committed segment list with per-file CRC32+bytes
+///                     legality counts, unique counts per hash prefix and
+///                     the committed segment list with per-file CRC32+bytes
 ///                     (published via AtomicFileWriter; the rename is
 ///                     the single commit point)
 ///   seg-000000.bin  — packed (hash, pattern) records, append order =
@@ -48,7 +48,7 @@ struct SegmentInfo {
 /// Accumulates packed records for the segment under construction.
 class SegmentBuilder {
  public:
-  void add(std::uint64_t hash, const PackedPattern& p);
+  void add(std::uint64_t hash, const squish::PackedPattern& p);
 
   [[nodiscard]] std::uint64_t patterns() const { return patterns_; }
   [[nodiscard]] const std::string& bytes() const { return bytes_; }
@@ -83,8 +83,9 @@ class SegmentReader {
   SegmentReader& operator=(const SegmentReader&) = delete;
 
   /// Yields every record in append (= first-insertion) order.
-  void forEach(const std::function<void(std::uint64_t hash,
-                                        const PackedPattern& packed)>& fn)
+  void forEach(
+      const std::function<void(std::uint64_t hash,
+                               const squish::PackedPattern& packed)>& fn)
       const;
 
   [[nodiscard]] std::uint64_t patterns() const { return patterns_; }
@@ -111,7 +112,9 @@ struct StoreManifest {
   long cursor = 0;  ///< latent samples consumed
   long legal = 0;   ///< legal among consumed (with repetitions)
   std::uint64_t unique = 0;
-  std::vector<std::uint64_t> shardSizes;  ///< per-shard unique counts
+  /// Unique counts per top-6-bit canonical-hash prefix (64 entries): a
+  /// cross-check on the resume rebuild of the dedup library.
+  std::vector<std::uint64_t> shardSizes;
   std::vector<SegmentInfo> segments;
 
   friend bool operator==(const StoreManifest&,

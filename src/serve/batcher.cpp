@@ -9,7 +9,7 @@
 #include "common/fault.hpp"
 #include "core/pipeline.hpp"
 #include "squish/complexity.hpp"
-#include "squish/hash.hpp"
+#include "squish/packed_pattern.hpp"
 
 namespace dp::serve {
 
@@ -298,7 +298,10 @@ void Batcher::finalize(Job& job) {
   res.uniqueTotal = static_cast<long>(job.result.unique.size());
   res.decodeBatches = job.decodeBatches;
 
-  // Complexity-window filter on the unique set (0 = unbounded).
+  // Complexity-window filter on the unique set (0 = unbounded), read
+  // off the packed (cx, cy) with the stored hashes. forEach runs in
+  // ascending hash order, so patternHashes comes out sorted. Only a
+  // materializing request needs the in-window patterns as a library.
   const GenerateRequest& req = job.request;
   const auto inWindow = [&req](const squish::Complexity& c) {
     if (req.minCx != 0 && c.cx < req.minCx) return false;
@@ -309,15 +312,15 @@ void Batcher::finalize(Job& job) {
   };
   core::PatternLibrary window;
   std::vector<squish::Complexity> windowCplx;
-  for (const squish::Topology& p : job.result.unique.patterns()) {
-    const squish::Complexity c = squish::complexityOfCanonical(p);
-    if (!inWindow(c)) continue;
-    window.add(p);
-    windowCplx.push_back(c);
-    res.patternHashes.push_back(squish::hashTopology(p));
-  }
-  std::sort(res.patternHashes.begin(), res.patternHashes.end());
-  res.uniqueInWindow = static_cast<long>(window.size());
+  job.result.unique.forEach(
+      [&](std::uint64_t hash, const squish::PackedPattern& p) {
+        const squish::Complexity c{p.cx(), p.cy()};
+        if (!inWindow(c)) return;
+        if (req.materialize) window.insertCanonical(hash, p);
+        windowCplx.push_back(c);
+        res.patternHashes.push_back(hash);
+      });
+  res.uniqueInWindow = static_cast<long>(windowCplx.size());
   res.diversity = core::shannonDiversity(windowCplx);
   double sumCx = 0.0;
   double sumCy = 0.0;

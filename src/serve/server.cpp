@@ -1,7 +1,9 @@
 #include "serve/server.hpp"
 
 #include <cstdlib>
+#include <limits>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "common/fault.hpp"
@@ -19,6 +21,17 @@ EventLoopServer::Config withMetrics(EventLoopServer::Config config,
   return config;
 }
 
+/// An integer request field narrowed to int: range-checked first, so
+/// an out-of-range value is a 400 instead of a wrapped one.
+int intField(const Json& j, const char* key) {
+  const long v = j.at(key).asLong();
+  if (v < std::numeric_limits<int>::min() ||
+      v > std::numeric_limits<int>::max())
+    throw std::runtime_error(std::string("generate request: ") + key +
+                             " is out of range");
+  return static_cast<int>(v);
+}
+
 }  // namespace
 
 GenerateRequest parseGenerateRequest(const std::string& body) {
@@ -30,18 +43,17 @@ GenerateRequest parseGenerateRequest(const std::string& body) {
   if (j.has("bundle")) req.bundle = j.at("bundle").asString();
   if (j.has("flow")) req.flow = j.at("flow").asString();
   if (j.has("count")) req.count = j.at("count").asLong();
-  if (j.has("batchSize"))
-    req.batchSize = static_cast<int>(j.at("batchSize").asLong());
-  if (j.has("arity")) req.arity = static_cast<int>(j.at("arity").asLong());
+  if (j.has("batchSize")) req.batchSize = intField(j, "batchSize");
+  if (j.has("arity")) req.arity = intField(j, "arity");
   if (j.has("seed")) req.seed = j.at("seed").asUint64();
   if (j.has("materialize")) req.materialize = j.at("materialize").asBool();
   if (j.has("maxClips")) req.maxClips = j.at("maxClips").asLong();
   if (j.has("deadline_ms")) req.deadlineMs = j.at("deadline_ms").asLong();
   if (j.has("deadlineMs")) req.deadlineMs = j.at("deadlineMs").asLong();
-  if (j.has("minCx")) req.minCx = static_cast<int>(j.at("minCx").asLong());
-  if (j.has("maxCx")) req.maxCx = static_cast<int>(j.at("maxCx").asLong());
-  if (j.has("minCy")) req.minCy = static_cast<int>(j.at("minCy").asLong());
-  if (j.has("maxCy")) req.maxCy = static_cast<int>(j.at("maxCy").asLong());
+  if (j.has("minCx")) req.minCx = intField(j, "minCx");
+  if (j.has("maxCx")) req.maxCx = intField(j, "maxCx");
+  if (j.has("minCy")) req.minCy = intField(j, "minCy");
+  if (j.has("maxCy")) req.maxCy = intField(j, "maxCy");
   return req;
 }
 

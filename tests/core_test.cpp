@@ -10,6 +10,7 @@
 #include "datagen/generator.hpp"
 #include "models/topology_codec.hpp"
 #include "squish/extract.hpp"
+#include "squish/packed_pattern.hpp"
 #include "squish/pad.hpp"
 #include "testutil.hpp"
 
@@ -95,14 +96,61 @@ TEST(PatternLibrary, MergeCombinesUniqueSets) {
   EXPECT_EQ(a.size(), 2u);
 }
 
+TEST(PatternLibrary, HashCollisionsKeepEveryPattern) {
+  // Two different canonical patterns filed under one hash: the bucket
+  // resolves them exactly, both count, and the bucket enumerates in
+  // insertion order.
+  PatternLibrary lib;
+  const squish::PackedPattern a = squish::pack(topo({"#.", ".#"}));
+  const squish::PackedPattern b = squish::pack(topo({"#.#"}));
+  EXPECT_TRUE(lib.insertCanonical(42, b));
+  EXPECT_TRUE(lib.insertCanonical(42, a));
+  EXPECT_FALSE(lib.insertCanonical(42, a));
+  EXPECT_EQ(lib.size(), 2u);
+  EXPECT_TRUE(lib.contains(42, a));
+  EXPECT_TRUE(lib.contains(42, b));
+  EXPECT_FALSE(lib.contains(7, a));
+  std::vector<squish::PackedPattern> order;
+  lib.forEach([&](std::uint64_t hash, const squish::PackedPattern& p) {
+    EXPECT_EQ(hash, 42u);
+    order.push_back(p);
+  });
+  EXPECT_EQ(order, (std::vector<squish::PackedPattern>{b, a}));
+  // Complexities (3, 1) and (2, 2), one pattern each: 1 bit.
+  EXPECT_DOUBLE_EQ(lib.diversity(), 1.0);
+}
+
+TEST(PatternLibrary, AddRejectsPatternsPastThePackLimit) {
+  // Alternating columns never merge, so the canonical form keeps every
+  // column: 255 packs, 256 does not.
+  const auto stripes = [](int cols) {
+    squish::Topology t(1, cols);
+    for (int c = 0; c < cols; c += 2) t.set(0, c, 1);
+    return t;
+  };
+  PatternLibrary lib;
+  EXPECT_THROW(lib.add(stripes(256)), std::invalid_argument);
+  EXPECT_TRUE(lib.empty());
+  EXPECT_TRUE(lib.add(stripes(255)));
+}
+
 TEST(ShannonDiversity, KnownValues) {
   EXPECT_DOUBLE_EQ(shannonDiversity({}), 0.0);
   // All identical -> 0 bits.
   EXPECT_DOUBLE_EQ(shannonDiversity({{2, 2}, {2, 2}, {2, 2}}), 0.0);
+  EXPECT_DOUBLE_EQ(
+      shannonDiversity(std::vector<squish::Complexity>(10, {1, 1})), 0.0);
   // Uniform over 2 classes -> 1 bit; over 4 -> 2 bits.
   EXPECT_DOUBLE_EQ(shannonDiversity({{1, 1}, {2, 2}}), 1.0);
   EXPECT_DOUBLE_EQ(
       shannonDiversity({{1, 1}, {1, 2}, {2, 1}, {2, 2}}), 2.0);
+  std::vector<squish::Complexity> fiveEach;
+  for (const squish::Complexity c :
+       {squish::Complexity{1, 1}, {1, 2}, {2, 1}, {2, 2}})
+    fiveEach.insert(fiveEach.end(), 5, c);
+  EXPECT_DOUBLE_EQ(shannonDiversity(fiveEach), 2.0);
+  // p = {1/2, 1/4, 1/4} -> H = 1.5 bits.
+  EXPECT_DOUBLE_EQ(shannonDiversity({{1, 1}, {1, 1}, {1, 2}, {2, 1}}), 1.5);
 }
 
 TEST(ShannonDiversity, MoreSpreadMeansHigherEntropy) {

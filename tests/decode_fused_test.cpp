@@ -31,9 +31,9 @@
 #include "geometry/design_rules.hpp"
 #include "models/tcae.hpp"
 #include "models/topology_codec.hpp"
-#include "pipeline/packed.hpp"
 #include "squish/canonical.hpp"
 #include "squish/hash.hpp"
+#include "squish/packed_pattern.hpp"
 #include "squish/packed_topo.hpp"
 #include "squish/topology.hpp"
 #include "tensor/gemm.hpp"
@@ -102,8 +102,8 @@ TEST(PackedCanonicalOps, MatchFloatPathOnPinnedCorpus) {
     EXPECT_EQ(dp::squish::hashMasks(masks, rows, cols),
               dp::squish::hashTopology(canon));
     if (rows > 0 && cols > 0) {
-      EXPECT_EQ(dp::pipeline::packMasks(masks, rows, cols),
-                dp::pipeline::pack(canon));
+      EXPECT_EQ(dp::squish::packMasks(masks, rows, cols),
+                dp::squish::pack(canon));
     }
   }
 }
@@ -240,8 +240,8 @@ TEST(FusedDecodeRoute, MatchesFloatPathAllTargetsAndThreads) {
         if (rows > 0 && cols > 0) {
           ASSERT_EQ(dp::squish::hashMasks(sample, rows, cols),
                     dp::squish::hashTopology(canon));
-          ASSERT_EQ(dp::pipeline::packMasks(sample, rows, cols),
-                    dp::pipeline::pack(canon));
+          ASSERT_EQ(dp::squish::packMasks(sample, rows, cols),
+                    dp::squish::pack(canon));
         }
       }
     }

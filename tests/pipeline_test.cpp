@@ -1,8 +1,7 @@
 // Massive-pipeline suite (ctest label: pipeline) — DESIGN.md §12.
 //
 // Covers the storage substrate (bit-packed records, CRC-verified
-// mmap'd segments, atomic manifests), the sharded dedup set's exact
-// parity with core::PatternLibrary, and the headline crash-equivalence
+// mmap'd segments, atomic manifests) and the headline crash-equivalence
 // property: a run killed at ANY stage boundary (every
 // pipeline.checkpoint.* site plus the io.atomic.* writer sites)
 // resumes to the byte-identical final store an uninterrupted run
@@ -18,6 +17,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/atomic_file.hpp"
@@ -39,22 +39,22 @@
 #include "pipeline/massive.hpp"
 #include "pipeline/packed.hpp"
 #include "pipeline/pattern_store.hpp"
-#include "pipeline/sharded_set.hpp"
 #include "serve/metrics.hpp"
 #include "squish/canonical.hpp"
+#include "squish/complexity.hpp"
 #include "squish/hash.hpp"
+#include "squish/packed_pattern.hpp"
 #include "squish/packed_topo.hpp"
 #include "testutil.hpp"
 
 namespace {
 
 using dp::pipeline::MassiveConfig;
-using dp::pipeline::PackedPattern;
 using dp::pipeline::SegmentBuilder;
 using dp::pipeline::SegmentInfo;
 using dp::pipeline::SegmentReader;
-using dp::pipeline::ShardedPatternSet;
 using dp::pipeline::StoreManifest;
+using dp::squish::PackedPattern;
 using dp::test::ScopedTempDir;
 
 dp::squish::Topology randomTopology(dp::Rng& rng, int maxDim,
@@ -74,19 +74,19 @@ TEST(PackedPattern, RoundTripsArbitraryTopologies) {
   dp::Rng rng(99);
   for (int i = 0; i < 400; ++i) {
     const dp::squish::Topology t = randomTopology(rng, 24, 0.4);
-    const PackedPattern p = dp::pipeline::pack(t);
+    const PackedPattern p = dp::squish::pack(t);
     EXPECT_EQ(p.cx(), t.cols());
     EXPECT_EQ(p.cy(), t.rows());
-    EXPECT_EQ(dp::pipeline::unpack(p), t);
+    EXPECT_EQ(dp::squish::unpack(p), t);
   }
 }
 
 TEST(PackedPattern, RejectsEmptyAndOversized) {
-  EXPECT_THROW((void)dp::pipeline::pack(dp::squish::Topology()),
+  EXPECT_THROW((void)dp::squish::pack(dp::squish::Topology()),
                std::invalid_argument);
-  EXPECT_THROW((void)dp::pipeline::pack(dp::squish::Topology(256, 1)),
+  EXPECT_THROW((void)dp::squish::pack(dp::squish::Topology(256, 1)),
                std::invalid_argument);
-  EXPECT_THROW((void)dp::pipeline::pack(dp::squish::Topology(1, 256)),
+  EXPECT_THROW((void)dp::squish::pack(dp::squish::Topology(1, 256)),
                std::invalid_argument);
 }
 
@@ -99,7 +99,7 @@ TEST(PackedPattern, RecordStreamRoundTrips) {
     const dp::squish::Topology canon =
         dp::squish::canonicalize(randomTopology(rng, 12, 0.5));
     hashes.push_back(dp::squish::hashTopology(canon));
-    packs.push_back(dp::pipeline::pack(canon));
+    packs.push_back(dp::squish::pack(canon));
     dp::pipeline::appendRecord(buffer, hashes.back(), packs.back());
   }
   dp::pipeline::RecordCursor cursor(buffer.data(), buffer.size());
@@ -119,7 +119,7 @@ TEST(PackedPattern, RecordStreamRoundTrips) {
 TEST(PackedPattern, CursorRejectsTruncatedRecords) {
   std::string buffer;
   dp::pipeline::appendRecord(
-      buffer, 42, dp::pipeline::pack(dp::test::topo({"##", ".#"})));
+      buffer, 42, dp::squish::pack(dp::test::topo({"##", ".#"})));
   std::uint64_t hash = 0;
   PackedPattern p;
   // Every strict prefix of one record is a truncation.
@@ -138,72 +138,28 @@ TEST(PackedPattern, CursorRejectsZeroDimensions) {
   EXPECT_THROW(cursor.next(hash, p), std::runtime_error);
 }
 
-// ------------------------------------------------- sharded dedup set
-
-TEST(ShardedSet, MatchesPatternLibraryExactly) {
-  dp::Rng rng(7);
-  dp::core::PatternLibrary library;
-  ShardedPatternSet set;
-  for (int i = 0; i < 3000; ++i) {
-    const dp::squish::Topology t = randomTopology(rng, 5, 0.5);
-    EXPECT_EQ(set.insert(t), library.add(t));
-  }
-  EXPECT_EQ(set.size(), library.size());
-  // Same Definition-2 diversity, bit-identical accumulation.
-  EXPECT_DOUBLE_EQ(set.diversity(), library.diversity());
-  // Same enumeration contract: ascending canonical hash, collision
-  // buckets in first-insertion order.
-  const std::vector<dp::squish::Topology> patterns = library.patterns();
-  std::size_t i = 0;
-  set.forEach([&](std::uint64_t hash, const PackedPattern& p) {
-    ASSERT_LT(i, patterns.size());
-    EXPECT_EQ(hash, dp::squish::hashTopology(patterns[i]));
-    EXPECT_EQ(dp::pipeline::unpack(p), patterns[i]);
-    ++i;
-  });
-  EXPECT_EQ(i, patterns.size());
-}
-
-TEST(ShardedSet, ConcurrentInsertsMatchSerial) {
-  dp::Rng rng(21);
-  std::vector<dp::squish::Topology> topologies;
-  topologies.reserve(4000);
-  for (int i = 0; i < 4000; ++i)
-    topologies.push_back(randomTopology(rng, 5, 0.5));
-
-  ShardedPatternSet serial;
-  for (const auto& t : topologies) serial.insert(t);
-
-  dp::test::ScopedDpThreads guard(8);
-  ShardedPatternSet concurrent;
-  dp::parallelFor(static_cast<long>(topologies.size()), 64,
-                  [&](long i0, long i1) {
-                    for (long i = i0; i < i1; ++i)
-                      concurrent.insert(
-                          topologies[static_cast<std::size_t>(i)]);
-                  });
-  EXPECT_EQ(concurrent.size(), serial.size());
-  EXPECT_EQ(concurrent.shardSizes(), serial.shardSizes());
-  EXPECT_DOUBLE_EQ(concurrent.diversity(), serial.diversity());
-  serial.forEach([&](std::uint64_t hash, const PackedPattern& p) {
-    EXPECT_TRUE(concurrent.containsPacked(hash, p));
-  });
-}
+// ------------------------------------------------- diversity from counts
 
 TEST(ShardedSet, ShannonFromCountsClosedForms) {
+  // The pipeline's H is core::shannonDiversity over the library's
+  // (cx, cy); pin its closed forms on count histograms.
   using Counts = std::map<std::pair<int, int>, std::uint64_t>;
-  EXPECT_NEAR(dp::pipeline::shannonFromCounts(Counts{{{1, 1}, 10}}), 0.0,
-              1e-12);
-  EXPECT_NEAR(dp::pipeline::shannonFromCounts(Counts{{{1, 1}, 5},
-                                                     {{1, 2}, 5},
-                                                     {{2, 1}, 5},
-                                                     {{2, 2}, 5}}),
+  const auto shannon = [](const Counts& counts) {
+    std::vector<dp::squish::Complexity> cplx;
+    for (const auto& [c, n] : counts)
+      cplx.insert(cplx.end(), n, dp::squish::Complexity{c.first, c.second});
+    return dp::core::shannonDiversity(cplx);
+  };
+  EXPECT_NEAR(shannon(Counts{{{1, 1}, 10}}), 0.0, 1e-12);
+  EXPECT_NEAR(shannon(Counts{{{1, 1}, 5},
+                             {{1, 2}, 5},
+                             {{2, 1}, 5},
+                             {{2, 2}, 5}}),
               2.0, 1e-12);
   // p = {1/2, 1/4, 1/4} -> H = 1.5 bits.
-  EXPECT_NEAR(dp::pipeline::shannonFromCounts(
-                  Counts{{{1, 1}, 2}, {{1, 2}, 1}, {{2, 1}, 1}}),
-              1.5, 1e-12);
-  EXPECT_NEAR(dp::pipeline::shannonFromCounts(Counts{}), 0.0, 1e-12);
+  EXPECT_NEAR(shannon(Counts{{{1, 1}, 2}, {{1, 2}, 1}, {{2, 1}, 1}}), 1.5,
+              1e-12);
+  EXPECT_NEAR(shannon(Counts{}), 0.0, 1e-12);
 }
 
 // ------------------------------------------------- segments + manifest
@@ -218,7 +174,7 @@ TEST(PatternStore, SegmentRoundTripsAndVerifies) {
     const dp::squish::Topology canon =
         dp::squish::canonicalize(randomTopology(rng, 8, 0.4));
     hashes.push_back(dp::squish::hashTopology(canon));
-    packs.push_back(dp::pipeline::pack(canon));
+    packs.push_back(dp::squish::pack(canon));
     builder.add(hashes.back(), packs.back());
   }
   const SegmentInfo info =
@@ -243,7 +199,7 @@ TEST(PatternStore, SegmentReaderRejectsCorruptionAndTruncation) {
       dp::squish::canonicalize(dp::test::topo({"#.#", "###"}));
   for (int i = 0; i < 20; ++i)
     builder.add(dp::squish::hashTopology(canon) + i,
-                dp::pipeline::pack(canon));
+                dp::squish::pack(canon));
   const SegmentInfo info =
       dp::pipeline::writeSegment(dir.path(), 3, builder);
   const std::string path = dir.file(info.path);
@@ -277,7 +233,7 @@ TEST(PatternStore, SegmentOpenFaultIsInjectable) {
   const dp::squish::Topology canon =
       dp::squish::canonicalize(dp::test::topo({"#.#", "###"}));
   builder.add(dp::squish::hashTopology(canon),
-              dp::pipeline::pack(canon));
+              dp::squish::pack(canon));
   const SegmentInfo info =
       dp::pipeline::writeSegment(dir.path(), 0, builder);
 
@@ -342,7 +298,7 @@ TEST(SeededCorpus, CanonicalHashesAndRecordsAreStable) {
     const dp::squish::Topology canon = dp::squish::canonicalize(t);
     const std::uint64_t hash = dp::squish::hashTopology(canon);
     std::string record;
-    dp::pipeline::appendRecord(record, hash, dp::pipeline::pack(canon));
+    dp::pipeline::appendRecord(record, hash, dp::squish::pack(canon));
     EXPECT_EQ(hash, expected.hash)
         << "canonical hash drifted for:\n"
         << t.toString();
@@ -515,7 +471,7 @@ TEST_F(MassivePipeline, StoreMatchesPerBatchOracle) {
       ++legal;
       const std::uint64_t hash = dp::squish::hashMasks(rows, nRows, nCols);
       const PackedPattern packed =
-          dp::pipeline::packMasks(rows, nRows, nCols);
+          dp::squish::packMasks(rows, nRows, nCols);
       auto& bucket = seen[hash];
       if (std::find(bucket.begin(), bucket.end(), packed) != bucket.end())
         continue;

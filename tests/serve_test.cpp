@@ -564,6 +564,19 @@ TEST(Serve, RoutesAndErrors) {
   EXPECT_EQ(postGenerate(server, "{\"bundle\":\"tiny\",\"count\":0}")
                 .status,
             400);
+  // Numeric fields that would wrap, truncate or overflow are refused,
+  // not coerced.
+  const char* const badNumbers[] = {
+      "{\"bundle\":\"tiny\",\"batchSize\":4294967297}",
+      "{\"bundle\":\"tiny\",\"minCx\":4294967296}",
+      "{\"bundle\":\"tiny\",\"seed\":\"-1\"}",
+      "{\"bundle\":\"tiny\",\"seed\":\"12abc\"}",
+      "{\"bundle\":\"tiny\",\"count\":1.5}",
+      "{\"bundle\":\"tiny\",\"batchSize\":64.9}",
+      "{\"bundle\":\"tiny\",\"count\":1e300}",
+  };
+  for (const char* body : badNumbers)
+    EXPECT_EQ(postGenerate(server, body).status, 400) << body;
 
   const auto metricsRes = get(server, "/metrics");
   EXPECT_EQ(metricsRes.status, 200);

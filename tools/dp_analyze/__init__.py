@@ -36,12 +36,11 @@ that tools/dp_lint.py's token-level rules cannot see (DESIGN.md §15):
                              (folding order would depend on hash-table
                              layout).
 
-Frontends: libclang (pinned clang-18 wheel in CI, driven off
-compile_commands.json) when importable, with a dependency-free
-built-in C++ model extractor as the fallback so local runs and the
-ctest `lint` label need nothing beyond python3. Both produce the same
-translation-unit model (tools/dp_analyze/model.py); the checkers are
-frontend-agnostic.
+Frontend: a dependency-free built-in C++ model extractor
+(frontend_lite.py), so every run — local, ctest `lint` label and CI —
+needs nothing beyond python3. It reduces the tree to the
+translation-unit model in tools/dp_analyze/model.py; the checkers only
+see that model.
 
 Exit status: 0 clean, 1 findings, 2 usage/internal error.
 """

@@ -1,7 +1,6 @@
 """dp-analyze CLI.
 
-  python3 tools/dp_analyze [--root DIR] [--frontend auto|lite|clang]
-                           [--compdb PATH] [--sarif PATH]
+  python3 tools/dp_analyze [--root DIR] [--sarif PATH]
                            [--emit-lock-order PATH] [--self-test]
 
 Exit status: 0 clean, 1 findings (or self-test failure), 2 usage or
@@ -28,29 +27,6 @@ from . import RULES, __version__, fault_sites, float_determinism, \
 LOCK_ORDER_JSON = "tools/lock_order.json"
 
 
-def _load_models(root: Path, frontend: str, compdb: str | None):
-    if frontend == "lite":
-        return frontend_lite.parse_tree(root)
-    try:
-        from . import frontend_clang
-        return frontend_clang.parse_tree(root, compdb)
-    except ImportError as exc:
-        if frontend == "clang":
-            raise RuntimeError(
-                f"--frontend=clang requested but libclang is "
-                f"unavailable: {exc}") from exc
-        print("dp-analyze: libclang unavailable "
-              f"({exc.__class__.__name__}); using built-in frontend",
-              file=sys.stderr)
-        return frontend_lite.parse_tree(root)
-    except Exception as exc:  # noqa: BLE001
-        if frontend == "clang":
-            raise
-        print(f"dp-analyze: libclang frontend failed ({exc}); "
-              "falling back to built-in frontend", file=sys.stderr)
-        return frontend_lite.parse_tree(root)
-
-
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(
         prog="dp_analyze",
@@ -59,11 +35,6 @@ def main(argv=None) -> int:
     ap.add_argument("--root", default=None,
                     help="repo root (default: two levels above this "
                          "package)")
-    ap.add_argument("--frontend", choices=("auto", "lite", "clang"),
-                    default="auto")
-    ap.add_argument("--compdb", default=None,
-                    help="compile_commands.json (file or directory) "
-                         "for the libclang frontend")
     ap.add_argument("--sarif", metavar="PATH", default=None,
                     help="also write findings as SARIF 2.1.0")
     ap.add_argument("--emit-lock-order", metavar="PATH", default=None,
@@ -87,7 +58,7 @@ def main(argv=None) -> int:
         if args.self_test:
             return selftest.run(root)
 
-        models, aux = _load_models(root, args.frontend, args.compdb)
+        models, aux = frontend_lite.parse_tree(root)
 
         committed = None
         if args.emit_lock_order is None:

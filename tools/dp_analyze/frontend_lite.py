@@ -3,10 +3,8 @@
 Reduces C++ sources to the model in model.py with a recursive-descent
 scan over comment/string-stripped text: namespace / class / function
 block classification from the text preceding each top-level `{`, then
-regex event extraction over function bodies. This frontend carries
-every local run and the ctest `lint` label; the libclang frontend
-(frontend_clang.py) reuses its event extractor and only improves
-function-boundary discovery.
+regex event extraction over function bodies. It is the analyzer's
+only frontend: local runs, the ctest `lint` label and CI all use it.
 
 Known, documented limits (DESIGN.md §15): no template instantiation,
 overload resolution is name-based, operator overloads other than

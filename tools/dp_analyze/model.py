@@ -1,12 +1,11 @@
-"""Translation-unit model shared by the dp-analyze frontends.
+"""Translation-unit model of the dp-analyze frontend.
 
-Both frontends (libclang and the built-in fallback) reduce each C++
-file to the same small fact schema; the checkers never look at source
-text again. Facts carry 1-based line numbers in the file they came
+The frontend (frontend_lite.py) reduces each C++ file to this small
+fact schema; the checkers never look at source text again. Facts carry 1-based line numbers in the file they came
 from.
 
 Annotation grammar (comments in the original source, scanned by the
-frontends):
+frontend):
 
   // dp-analyze: hot                  function below (or on this line)
                                       is a hot path: DPA103 forbids

@@ -12,9 +12,8 @@ comments:
 
 A fixture with no expect header must analyze clean. The self-test
 fails if any expected rule does not fire, or any unexpected rule
-fires. Fixtures always run through the built-in frontend so the ctest
-`lint` label needs nothing beyond python3; the libclang frontend is
-exercised against the real tree in CI.
+fires. Fixtures run through the same built-in frontend as the tree,
+so the ctest `lint` label needs nothing beyond python3.
 """
 
 from __future__ import annotations
