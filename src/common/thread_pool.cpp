@@ -6,6 +6,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "common/fp_env.hpp"
 #include "common/sync.hpp"
 
 namespace dp {
@@ -27,6 +28,7 @@ struct Batch {
   long n = 0;
   long grain = 1;
   long chunkCount = 0;
+  std::uint32_t fpControl = 0;  ///< the caller's fpControlBits()
   std::atomic<long> nextChunk{0};
 
   Mutex mutex;
@@ -35,11 +37,15 @@ struct Batch {
   std::exception_ptr firstError DP_GUARDED_BY(mutex);
 };
 
-/// Claims and runs chunks of `b` until none are left. Returns after
-/// reporting this thread's completions; the batch is finished once
-/// chunksLeft reaches 0.
+/// Claims and runs chunks of `b` until none are left, under the
+/// caller's floating-point control bits (restoring this lane's own
+/// afterwards). Returns after reporting this thread's completions; the
+/// batch is finished once chunksLeft reaches 0.
 void runChunks(Batch& b) {
   tlsInsideChunk = true;
+  const std::uint32_t ownFp = fpControlBits();
+  const bool adoptFp = ownFp != b.fpControl;
+  if (adoptFp) setFpControlBits(b.fpControl);
   long finished = 0;
   std::exception_ptr error;
   for (;;) {
@@ -54,6 +60,7 @@ void runChunks(Batch& b) {
     }
     ++finished;
   }
+  if (adoptFp) setFpControlBits(ownFp);
   tlsInsideChunk = false;
   if (finished > 0 || error) {
     LockGuard lock(b.mutex);
@@ -139,6 +146,7 @@ void ThreadPool::parallelFor(
   batch->n = n;
   batch->grain = grain;
   batch->chunkCount = chunkCount;
+  batch->fpControl = fpControlBits();
   {
     LockGuard lock(batch->mutex);
     batch->chunksLeft = chunkCount;

@@ -10,7 +10,9 @@
 /// grain — never on the thread count or on scheduling. A loop body that
 /// (a) writes only state owned by its chunk and (b) reduces per-chunk
 /// results in ascending chunk order therefore produces bit-identical
-/// results at any DP_THREADS value, including 1. Randomized parallel
+/// results at any DP_THREADS value, including 1. Every chunk runs under
+/// its caller's floating-point control state (fp_env.hpp: rounding,
+/// subnormal flushing), whichever lane runs it. Randomized parallel
 /// tasks must draw from per-task Rng streams seeded with
 /// taskSeed(baseSeed, taskIndex) instead of sharing one generator.
 ///

@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 
+#include "common/fp_env.hpp"
 #include "models/batch.hpp"
 #include "models/topology_codec.hpp"
 #include "nn/activations.hpp"
@@ -69,12 +70,21 @@ Tensor Tcae::reconstruct(const Tensor& topologies) const {
 double Tcae::trainStep(const Tensor& batch, nn::Optimizer& opt,
                        train::Harness* guard) {
   opt.zeroGrad();
-  const Tensor latent = encoder_.forward(batch, /*training=*/true);
-  const Tensor recon = decoder_.forward(latent, /*training=*/true);
-  Tensor grad;
-  const double loss = nn::mseLoss(recon, batch, grad);
-  const Tensor gradLatent = decoder_.backward(grad);
-  encoder_.backward(gradLatent);
+  double loss = 0.0;
+  {
+    // Saturated sigmoid cells feed thousands of subnormal gradients
+    // back through the deconvolutions, and every multiply that touches
+    // one costs a microcode assist. Flushing them (on every pool lane)
+    // moves only values below ~1e-20; the update itself runs in default
+    // IEEE mode (DESIGN.md §16).
+    const FlushSubnormalsScope flush;
+    const Tensor latent = encoder_.forward(batch, /*training=*/true);
+    const Tensor recon = decoder_.forward(latent, /*training=*/true);
+    Tensor grad;
+    loss = nn::mseLoss(recon, batch, grad);
+    const Tensor gradLatent = decoder_.backward(grad);
+    encoder_.backward(gradLatent);
+  }
   if (guard)
     guard->guardedStep(opt);
   else

@@ -67,6 +67,12 @@ class Tcae {
   /// fused decode route prepacks its weights at bundle-build time).
   [[nodiscard]] const nn::Sequential& decoder() const { return decoder_; }
 
+  /// Both layer stacks, for drivers that step the layers one at a time
+  /// (bench/train_step_bench times each layer; the train suite runs an
+  /// unflushed reference step against trainStep).
+  [[nodiscard]] nn::Sequential& encoder() { return encoder_; }
+  [[nodiscard]] nn::Sequential& decoder() { return decoder_; }
+
   /// Recognition unit f: (N,1,S,S) -> (N, latentDim) (Eq. 2).
   /// Stateless inference — safe to call concurrently on a shared model.
   [[nodiscard]] nn::Tensor encode(const nn::Tensor& topologies) const;
@@ -89,8 +95,10 @@ class Tcae {
   TrainStats train(const std::vector<squish::Topology>& data, Rng& rng);
 
   /// One optimization step on an encoded batch; returns the MSE loss.
-  /// With `guard` set, the update goes through Harness::guardedStep
-  /// (gradient sentinels + clipping).
+  /// The forward, loss and backward passes run with subnormals flushed
+  /// to zero on every pool lane (FlushSubnormalsScope); the update runs
+  /// in default IEEE mode. With `guard` set, the update goes through
+  /// Harness::guardedStep (gradient sentinels + clipping).
   double trainStep(const nn::Tensor& batch, nn::Optimizer& opt,
                    train::Harness* guard = nullptr);
 

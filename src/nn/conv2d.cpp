@@ -32,6 +32,20 @@ void convSample(const ConvGeom& geom, int outC, const float* weights,
 
 }  // namespace
 
+void addSampleRows(const float* rows, int samples, std::size_t count,
+                   float* acc) {
+  constexpr long kGrain = 256;  // elements per chunk
+  dp::parallelFor(static_cast<long>(count), kGrain, [&](long begin,
+                                                        long end) {
+    float* __restrict sum = acc + begin;
+    for (int s = 0; s < samples; ++s) {
+      const float* __restrict row =
+          rows + static_cast<std::size_t>(s) * count + begin;
+      for (long e = 0; e < end - begin; ++e) sum[e] += row[e];
+    }
+  });
+}
+
 Conv2d::Conv2d(int inChannels, int outChannels, int kernel, int stride,
                int pad, Rng& rng, double weightDecay)
     : inC_(inChannels), outC_(outChannels), kernel_(kernel),
@@ -165,12 +179,9 @@ Tensor Conv2d::backward(const Tensor& gradOut) {
     }
   });
 
-  for (int s = 0; s < n; ++s) {
-    const float* dws = dw.data() + static_cast<std::size_t>(s) * wN;
-    for (std::size_t e = 0; e < wN; ++e) weight_.grad[e] += dws[e];
-    for (int c = 0; c < outC_; ++c)
-      bias_.grad[c] += db[static_cast<std::size_t>(s) * outC_ + c];
-  }
+  addSampleRows(dw.data(), n, wN, weight_.grad.data());
+  addSampleRows(db.data(), n, static_cast<std::size_t>(outC_),
+                bias_.grad.data());
   return dx;
 }
 

@@ -13,6 +13,15 @@
 
 namespace dp::nn {
 
+/// Adds `samples` per-sample gradient rows (`rows`: samples x count,
+/// row-major) into `acc` (count elements). Every element sums its rows
+/// in ascending sample order, as a serial loop does, so the result is
+/// bit-identical at any DP_THREADS; the pool splits the elements. The
+/// conv and deconv backward passes reduce their per-sample weight and
+/// bias gradients with it.
+void addSampleRows(const float* rows, int samples, std::size_t count,
+                   float* acc);
+
 class Conv2d final : public Layer {
  public:
   Conv2d(int inChannels, int outChannels, int kernel, int stride, int pad,

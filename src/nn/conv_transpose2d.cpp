@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "common/thread_pool.hpp"
+#include "nn/conv2d.hpp"
 #include "nn/init.hpp"
 #include "tensor/gemm.hpp"
 
@@ -156,12 +157,9 @@ Tensor ConvTranspose2d::backward(const Tensor& gradOut) {
     }
   });
 
-  for (int s = 0; s < n; ++s) {
-    const float* dws = dw.data() + static_cast<std::size_t>(s) * wN;
-    for (std::size_t e = 0; e < wN; ++e) weight_.grad[e] += dws[e];
-    for (int c = 0; c < outC_; ++c)
-      bias_.grad[c] += db[static_cast<std::size_t>(s) * outC_ + c];
-  }
+  addSampleRows(dw.data(), n, wN, weight_.grad.data());
+  addSampleRows(db.data(), n, static_cast<std::size_t>(outC_),
+                bias_.grad.data());
   return dx;
 }
 

@@ -60,4 +60,8 @@ class Layer {
 
 using LayerPtr = std::unique_ptr<Layer>;
 
+/// Chunk size of the elementwise parallelFor loops (Sigmoid, Adam). A
+/// constant, so chunk boundaries depend on the element count only.
+inline constexpr long kElementwiseGrain = 8192;
+
 }  // namespace dp::nn

@@ -60,8 +60,12 @@ Tensor Linear::backward(const Tensor& gradOut) {
   // dW += dy^T (out,N) * x (N,in)
   gemm(true, false, out_, in_, n, 1.0f, gradOut.data(), out_,
        input_.data(), in_, 1.0f, weight_.grad.data(), in_);
-  for (int i = 0; i < n; ++i)
-    for (int j = 0; j < out_; ++j) bias_.grad[j] += gradOut.at(i, j);
+  float* __restrict db = bias_.grad.data();
+  for (int i = 0; i < n; ++i) {
+    const float* __restrict dy =
+        gradOut.data() + static_cast<std::size_t>(i) * out_;
+    for (int j = 0; j < out_; ++j) db[j] += dy[j];
+  }
   // dx = dy (N,out) * W (out,in)
   Tensor dx({n, in_});
   gemm(false, false, n, in_, out_, 1.0f, gradOut.data(), out_,

@@ -3,6 +3,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "common/thread_pool.hpp"
+
 namespace dp::nn {
 
 Optimizer::Optimizer(std::vector<Param*> params, double lr)
@@ -73,21 +75,32 @@ void Adam::step() {
   stepState_[0] = static_cast<float>(t_);
   const double bc1 = 1.0 - std::pow(beta1_, static_cast<double>(t_));
   const double bc2 = 1.0 - std::pow(beta2_, static_cast<double>(t_));
+  const double beta1 = beta1_, beta2 = beta2_, lr = lr_, eps = eps_;
   for (std::size_t k = 0; k < params_.size(); ++k) {
     Param& p = *params_[k];
     Tensor& m = m_[k];
     Tensor& v = v_[k];
-    for (std::size_t i = 0; i < p.value.numel(); ++i) {
-      const double g = effectiveGrad(p, i);
-      const double mi = beta1_ * m[i] + (1.0 - beta1_) * g;
-      const double vi = beta2_ * v[i] + (1.0 - beta2_) * g * g;
-      m[i] = static_cast<float>(mi);
-      v[i] = static_cast<float>(vi);
-      const double mhat = mi / bc1;
-      const double vhat = vi / bc2;
-      p.value[i] -= static_cast<float>(lr_ * mhat /
-                                       (std::sqrt(vhat) + eps_));
-    }
+    // Elementwise, so no scalar's bits depend on the chunking; the
+    // formula is effectiveGrad's and the serial loop's.
+    dp::parallelFor(
+        static_cast<long>(p.value.numel()), kElementwiseGrain,
+        [&](long begin, long end) {
+          float* __restrict w = p.value.data();
+          const float* __restrict gr = p.grad.data();
+          float* __restrict pm = m.data();
+          float* __restrict pv = v.data();
+          const double decay = p.weightDecay;
+          for (long i = begin; i < end; ++i) {
+            const double g = gr[i] + decay * w[i];
+            const double mi = beta1 * pm[i] + (1.0 - beta1) * g;
+            const double vi = beta2 * pv[i] + (1.0 - beta2) * g * g;
+            pm[i] = static_cast<float>(mi);
+            pv[i] = static_cast<float>(vi);
+            const double mhat = mi / bc1;
+            const double vhat = vi / bc2;
+            w[i] -= static_cast<float>(lr * mhat / (std::sqrt(vhat) + eps));
+          }
+        });
   }
 }
 

@@ -679,6 +679,8 @@ TEST_F(FaultTest, MalformedHttpTortureCorpus) {
     hugeHead += "X-Pad-" + std::to_string(i) + ": " +
                 std::string(64, 'a') + "\r\n";
   hugeHead += "\r\n";
+  // Embedded NULs: the string is built from the array's own length.
+  static constexpr char kBinaryGarbage[] = "\x00\x01\xfe\xff barely text";
   const std::vector<Case> corpus = {
       {"garbage line", "GARBAGE\r\n\r\n", 400},
       {"bad version", "GET /healthz NOTHTTP/9\r\n\r\n", 400},
@@ -698,7 +700,7 @@ TEST_F(FaultTest, MalformedHttpTortureCorpus) {
        "POST /generate HTTP/1.1\r\nContent-Length: 64\r\n\r\nshort", 0,
        true},
       {"binary garbage then close",
-       std::string("\x00\x01\xfe\xff barely text", 18), 0, true},
+       std::string(kBinaryGarbage, sizeof kBinaryGarbage - 1), 0, true},
   };
   for (const auto& c : corpus) {
     const RawReply reply = rawCall(port, c.bytes, c.halfClose);

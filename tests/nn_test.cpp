@@ -2,6 +2,10 @@
 
 #include <cmath>
 #include <cstdio>
+#include <iterator>
+#include <limits>
+#include <memory>
+#include <string>
 
 #include "nn/activations.hpp"
 #include "nn/batchnorm.hpp"
@@ -93,6 +97,42 @@ TEST(GradCheck, Activations) {
   {
     Tanh l;
     EXPECT_LT(gradCheck(l, x, rng), kGradTol);
+  }
+}
+
+// ReLU and LeakyReLU against the conditional-store loops they replaced,
+// bit for bit, on mixed-sign data plus -0.0, +0.0, NaN and infinities.
+TEST(Activations, ReluFamilyMatchesConditionalStoresBitForBit) {
+  dp::Rng rng(14);
+  Tensor x = Tensor::randn({3, 40}, rng);
+  const float inf = std::numeric_limits<float>::infinity();
+  const float edges[] = {-0.0f, 0.0f, std::nanf(""), -inf, inf, -1e-40f};
+  for (std::size_t i = 0; i < std::size(edges); ++i) x[i] = edges[i];
+  Tensor dy = Tensor::randn({3, 40}, rng);
+  dy[0] = -1.0f;
+  dy[1] = -0.0f;
+  dy[2] = std::nanf("");
+  for (const float slope : {0.0f, 0.2f}) {
+    SCOPED_TRACE("slope=" + std::to_string(slope));
+    Tensor y = x;
+    Tensor dx = dy;
+    for (std::size_t i = 0; i < x.numel(); ++i) {
+      if (slope == 0.0f) {
+        if (y[i] < 0.0f) y[i] = 0.0f;
+        if (x[i] <= 0.0f) dx[i] = 0.0f;
+      } else {
+        if (y[i] < 0.0f) y[i] *= slope;
+        if (x[i] <= 0.0f) dx[i] *= slope;
+      }
+    }
+    std::unique_ptr<Layer> layer;
+    if (slope == 0.0f)
+      layer = std::make_unique<ReLU>();
+    else
+      layer = std::make_unique<LeakyReLU>(slope);
+    EXPECT_TRUE(dp::test::tensorsBitEqual(layer->infer(x), y));
+    EXPECT_TRUE(dp::test::tensorsBitEqual(layer->forward(x, true), y));
+    EXPECT_TRUE(dp::test::tensorsBitEqual(layer->backward(dy), dx));
   }
 }
 

@@ -8,12 +8,16 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
+#include <chrono>
 #include <cstdint>
 #include <set>
 #include <stdexcept>
+#include <thread>
 #include <utility>
 #include <vector>
 
+#include "common/fp_env.hpp"
 #include "common/sync.hpp"
 #include "common/thread_pool.hpp"
 #include "core/flows.hpp"
@@ -110,6 +114,41 @@ TEST(ThreadPool, NestedSubmissionDoesNotDeadlock) {
     pool.parallelFor(10, 1, [&](long b, long e) { inner += e - b; });
   });
   EXPECT_EQ(inner.load(), 80);
+}
+
+// A FlushSubnormalsScope on the caller reaches every chunk, whichever
+// lane runs it, and each lane returns to its own mode afterwards.
+TEST(ParallelFor, ChunksRunUnderTheCallersFloatingPointMode) {
+  if (!dp::flushSubnormalsSupported())
+    GTEST_SKIP() << "no subnormal flush on this target";
+  const ScopedDpThreads guard(8);
+  const auto products = [] {
+    std::vector<float> out(64, -1.0f);
+    std::vector<std::thread::id> lane(64);
+    dp::parallelFor(64, 1, [&](long b, long e) {
+      // Long enough that the workers wake and claim chunks too.
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+      for (long i = b; i < e; ++i) {
+        volatile float a = 1e-30f;
+        out[i] = a * 1e-10f;
+        lane[i] = std::this_thread::get_id();
+      }
+    });
+    EXPECT_GT(std::set<std::thread::id>(lane.begin(), lane.end()).size(),
+              1U)
+        << "one lane ran every chunk; the hand-off went untested";
+    return out;
+  };
+  // Compare bits, outside the scope: DAZ would read a subnormal as 0.
+  std::vector<float> flushed;
+  {
+    const dp::FlushSubnormalsScope flush;
+    flushed = products();
+  }
+  for (const float p : flushed) EXPECT_EQ(std::bit_cast<std::uint32_t>(p), 0U);
+  for (const float p : products())
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(p),
+              std::bit_cast<std::uint32_t>(1e-40f));
 }
 
 TEST(ThreadPool, DefaultThreadsReadsEnvironment) {

@@ -10,9 +10,13 @@
 // uninterrupted run's — at DP_THREADS=1 and 8. The divergence guard
 // (train.guard.nan injection, rollback + LR backoff, bounded retries)
 // and the SIGTERM seal-and-resume path round out the failure matrix.
+// Tcae::trainStep's subnormal flush is held to its bit tolerance
+// against an unflushed step.
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
 #include <csignal>
 #include <cstdint>
 #include <filesystem>
@@ -25,10 +29,14 @@
 #include <vector>
 
 #include "common/fault.hpp"
+#include "common/fp_env.hpp"
 #include "common/rng.hpp"
 #include "datagen/generator.hpp"
 #include "geometry/design_rules.hpp"
+#include "models/batch.hpp"
 #include "models/tcae.hpp"
+#include "models/topology_codec.hpp"
+#include "nn/loss.hpp"
 #include "nn/optimizer.hpp"
 #include "serve/metrics.hpp"
 #include "testutil.hpp"
@@ -697,6 +705,109 @@ TEST_F(TcaeTrain, InjectedDivergenceReplaysIdenticallyAtAnyThreadCount) {
         EXPECT_TRUE(tensorsBitEqual(params[i], firstParams[i])) << i;
     }
   }
+}
+
+/// Subnormal entries of `t`.
+long subnormalCount(const dp::nn::Tensor& t) {
+  long n = 0;
+  for (std::size_t i = 0; i < t.numel(); ++i) {
+    // Bits, not fpclassify: under DAZ a subnormal compares equal to 0.
+    const auto bits = std::bit_cast<std::uint32_t>(t[i]);
+    n += (bits & 0x7F800000U) == 0 && (bits & 0x007FFFFFU) != 0 ? 1 : 0;
+  }
+  return n;
+}
+
+struct FlushCheckRun {
+  std::vector<double> losses;
+  std::vector<dp::nn::Tensor> state;  ///< parameters, then Adam's state
+  long subnormalGrads = 0;  ///< in layer gradients of the plain run
+};
+
+/// 60 steps of the paper-default TCAE at batch 64, through
+/// Tcae::trainStep (`flushed`) or through the same layer stack in
+/// default IEEE mode, one layer at a time.
+FlushCheckRun trainForFlushCheck(bool flushed, int threads) {
+  const ScopedDpThreads guard(threads);
+  dp::Rng rng(2019);
+  const dp::models::TcaeConfig cfg;
+  dp::models::Tcae tcae(cfg, rng);
+  const dp::nn::Tensor dataset =
+      dp::models::encodeTopologies(trainTopologies(), cfg.inputSize);
+  dp::nn::Adam opt(tcae.params(), 2e-3);
+  FlushCheckRun run;
+  for (int step = 0; step < 60; ++step) {
+    const dp::nn::Tensor batch = dp::models::gatherRows(
+        dataset, dp::models::sampleIndices(dataset.size(0), cfg.batchSize,
+                                           rng));
+    if (flushed) {
+      run.losses.push_back(tcae.trainStep(batch, opt));
+      continue;
+    }
+    opt.zeroGrad();
+    const dp::nn::Tensor latent = tcae.encoder().forward(batch, true);
+    const dp::nn::Tensor recon = tcae.decoder().forward(latent, true);
+    dp::nn::Tensor grad;
+    run.losses.push_back(dp::nn::mseLoss(recon, batch, grad));
+    for (dp::nn::Sequential* stack : {&tcae.decoder(), &tcae.encoder()})
+      for (std::size_t i = stack->layerCount(); i-- > 0;) {
+        grad = stack->layer(i).backward(grad);
+        run.subnormalGrads += subnormalCount(grad);
+      }
+    opt.step();
+  }
+  for (dp::nn::Param* p : tcae.params()) run.state.push_back(p->value);
+  for (dp::nn::Tensor* t : opt.state()) run.state.push_back(*t);
+  return run;
+}
+
+/// Every element bit-equal, or below 1e-20 in magnitude on both sides.
+::testing::AssertionResult equalOrTiny(const dp::nn::Tensor& a,
+                                       const dp::nn::Tensor& b) {
+  if (a.shape() != b.shape())
+    return ::testing::AssertionFailure() << "shape mismatch";
+  for (std::size_t i = 0; i < a.numel(); ++i) {
+    const bool tiny = std::fabs(a[i]) < 1e-20f && std::fabs(b[i]) < 1e-20f;
+    if (std::bit_cast<std::uint32_t>(a[i]) !=
+            std::bit_cast<std::uint32_t>(b[i]) &&
+        !tiny)
+      return ::testing::AssertionFailure()
+             << "index " << i << ": " << a[i] << " vs " << b[i];
+  }
+  return ::testing::AssertionSuccess();
+}
+
+// trainStep flushes subnormals during the forward, loss and backward
+// passes. Against a plain IEEE run of the same stack, every loss must
+// stay bit-equal and every parameter and Adam moment must be bit-equal
+// or below 1e-20 in both runs, at 1 and 8 lanes; the flushed run must
+// also be identical across lane counts.
+TEST_F(TcaeTrain, FlushingSubnormalsMovesOnlyTinyValues) {
+  if (!dp::flushSubnormalsSupported())
+    GTEST_SKIP() << "no subnormal flush on this target";
+  std::vector<FlushCheckRun> flushedRuns;
+  for (const int threads : {1, 8}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    const FlushCheckRun plain = trainForFlushCheck(false, threads);
+    const FlushCheckRun flushed = trainForFlushCheck(true, threads);
+    EXPECT_GT(plain.subnormalGrads, 0)
+        << "the plain run met no subnormal gradient; the check is vacuous";
+    ASSERT_EQ(plain.losses.size(), flushed.losses.size());
+    for (std::size_t i = 0; i < plain.losses.size(); ++i)
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(plain.losses[i]),
+                std::bit_cast<std::uint64_t>(flushed.losses[i]))
+          << "step " << i << ": " << plain.losses[i] << " vs "
+          << flushed.losses[i];
+    ASSERT_EQ(plain.state.size(), flushed.state.size());
+    for (std::size_t i = 0; i < plain.state.size(); ++i)
+      EXPECT_TRUE(equalOrTiny(plain.state[i], flushed.state[i]))
+          << "state tensor " << i;
+    flushedRuns.push_back(flushed);
+  }
+  for (std::size_t i = 0; i < flushedRuns[0].state.size(); ++i)
+    EXPECT_TRUE(
+        tensorsBitEqual(flushedRuns[0].state[i], flushedRuns[1].state[i]))
+        << "flushed state tensor " << i << " depends on DP_THREADS";
 }
 
 // ------------------------------------------------- metrics surface

@@ -38,7 +38,11 @@ THIS repo rather than of C++:
                             without AVX-512 codegen, so a 512-bit
                             intrinsic there either fails to build or,
                             worse, silently pulls the whole TU above
-                            its dispatch tier.
+                            its dispatch tier. One exemption:
+                            _mm_getcsr / _mm_setcsr in
+                            src/common/fp_env.cpp, which read and write
+                            MXCSR, an x86-64 baseline register that
+                            needs no runtime dispatch.
   DP006 raw-checkpoint-write
                             std::ofstream may not appear in src/nn/,
                             src/serve/, src/pipeline/, src/train/,
@@ -334,6 +338,11 @@ RE_INTRIN = re.compile(
     r"immintrin\.h"
 )
 RE_AVX512_ONLY = re.compile(r"\b_mm512_\w+\s*\(|\b__m512i?d?\b|\b__mmask\d+\b")
+# The floating-point control register accessors, allowed in exactly one
+# baseline TU: MXCSR is part of x86-64 itself, so reading or writing it
+# needs no cpuid dispatch.
+FP_ENV_TU = "src/common/fp_env.cpp"
+FP_ENV_INTRINSICS = ("_mm_getcsr", "_mm_setcsr")
 
 
 def rule_isa_confinement(relpath: str, raw: str, stripped: str):
@@ -358,6 +367,9 @@ def rule_isa_confinement(relpath: str, raw: str, stripped: str):
     # code); the quoted-include form is blanked as a string literal, so
     # it gets its own raw-text scan below.
     for m in RE_INTRIN.finditer(stripped):
+        name = m.group(0).rstrip("( \t\n")
+        if relpath == FP_ENV_TU and name in FP_ENV_INTRINSICS:
+            continue
         yield Finding(
             relpath, line_of(stripped, m.start()), "DP005",
             f"vector intrinsic surface `{m.group(0).strip()}` outside a "
